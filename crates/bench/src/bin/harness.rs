@@ -1470,43 +1470,51 @@ fn incremental_trajectory(
             // Zero-allocation gate, width 1: replay the stream until the
             // pooled buffers (dirty lists, component scratch, sub-instance
             // slices) reach steady state, then three full apply+flush
-            // passes must not allocate at all.
-            let mut warmups = 0u32;
-            loop {
+            // passes must not allocate at all.  The held pass keeps each
+            // answer until the next one, as the server's last-good cache
+            // and a client do, so the solver must recycle its spare answer
+            // buffer instead of copying the held one.
+            let mut allocs_by_pass = [0u64; 2];
+            for (held_pass, allocs) in allocs_by_pass.iter_mut().enumerate() {
+                let mut held = None;
+                let mut churn_pass = || {
+                    for d in streams.iter().flatten() {
+                        ds.apply(d).expect("edit churn deltas are valid");
+                        let answer = ds.flush().expect("solvable");
+                        std::hint::black_box(answer.num_applicants());
+                        if held_pass == 1 {
+                            held = Some(answer.clone());
+                        }
+                    }
+                };
+                let mut warmups = 0u32;
+                loop {
+                    let before = allocation_count();
+                    pool1.install(&mut churn_pass);
+                    warmups += 1;
+                    if allocation_count() == before || warmups >= 10 {
+                        break;
+                    }
+                }
                 let before = allocation_count();
-                pool1.install(|| {
-                    for d in streams.iter().flatten() {
-                        ds.apply(d).expect("edit churn deltas are valid");
-                        std::hint::black_box(ds.flush().expect("solvable").num_applicants());
-                    }
-                });
-                warmups += 1;
-                if allocation_count() == before || warmups >= 10 {
-                    break;
+                pool1.install(|| (0..3).for_each(|_| churn_pass()));
+                *allocs = allocation_count() - before;
+                drop(held);
+                let what = ["apply+flush", "apply+flush with held answers"][held_pass];
+                if *allocs != 0 {
+                    eprintln!(
+                        "ZERO-ALLOC GATE FAILED: warm delta {what} performed {allocs} \
+                         allocations over 3 x {pass_deltas} deltas at n = {n} after {warmups} \
+                         warm-up passes (expected 0)"
+                    );
+                    std::process::exit(1);
                 }
-            }
-            let before = allocation_count();
-            pool1.install(|| {
-                for _ in 0..3 {
-                    for d in streams.iter().flatten() {
-                        ds.apply(d).expect("edit churn deltas are valid");
-                        std::hint::black_box(ds.flush().expect("solvable").num_applicants());
-                    }
-                }
-            });
-            let allocs = allocation_count() - before;
-            if allocs != 0 {
                 eprintln!(
-                    "ZERO-ALLOC GATE FAILED: warm delta apply+flush performed {allocs} \
-                     allocations over 3 x {pass_deltas} deltas at n = {n} after {warmups} \
-                     warm-up passes (expected 0)"
+                    "zero-alloc gate passed at n = {n} for {what} (0 allocations across \
+                     3 warm churn passes, {warmups} warm-ups to steady state)"
                 );
-                std::process::exit(1);
             }
-            eprintln!(
-                "zero-alloc gate passed at n = {n} \
-                 (0 allocations across 3 warm churn passes, {warmups} warm-ups to steady state)"
-            );
+            let [allocs, held_allocs] = allocs_by_pass;
 
             let wall_ms_by_threads: Vec<(usize, f64)> = sweep_threads(threads, reps, || {
                 for d in streams.iter().flatten() {
@@ -1528,8 +1536,9 @@ fn incremental_trajectory(
                 std::process::exit(1);
             }
             eprintln!(
-                "incremental gate passed at n = {n} ({amortized_ms:.3} ms/delta vs \
-                 {full_warm_ms:.3} ms full warm solve)"
+                "incremental gate passed at n = {n} ({} ms/delta vs \
+                 {full_warm_ms:.3} ms full warm solve)",
+                fmt_ms(amortized_ms)
             );
 
             let s = ds.stats();
@@ -1542,6 +1551,7 @@ fn incremental_trajectory(
                     ("deltas", pass_deltas as u64),
                     ("full_warm_solve_us", (full_warm_ms * 1e3) as u64),
                     ("allocs_per_pass", allocs),
+                    ("held_allocs_per_pass", held_allocs),
                     ("shard_solves", s.shard_solves),
                     ("full_solves", s.full_solves),
                     ("fallback_full_solves", s.fallback_full_solves),
@@ -2012,15 +2022,15 @@ fn render_json(
         let by_threads = r
             .wall_ms_by_threads
             .iter()
-            .map(|(t, ms)| format!("\"{t}\": {ms:.3}"))
+            .map(|&(t, ms)| format!("\"{t}\": {}", fmt_ms(ms)))
             .collect::<Vec<_>>()
             .join(", ");
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"n\": {}, \"wall_ms\": {:.3}, \
+            "    {{\"workload\": \"{}\", \"n\": {}, \"wall_ms\": {}, \
              \"wall_ms_by_threads\": {{{}}}, \"speedup_vs_1\": {:.2}{}}}{}\n",
             r.workload,
             r.n,
-            r.wall_ms_1(),
+            fmt_ms(r.wall_ms_1()),
             by_threads,
             r.speedup_vs_1(),
             pram,
@@ -2034,6 +2044,18 @@ fn render_json(
     }
     out.push_str("\n}\n");
     out
+}
+
+/// Formats a millisecond timing for the trajectory JSON: three decimals,
+/// or more where needed to keep three significant figures, so rows in the
+/// microsecond range do not all round to `0.001`.
+fn fmt_ms(ms: f64) -> String {
+    let decimals = if ms > 0.0 && ms.is_finite() {
+        (2 - ms.log10().floor() as i32).clamp(3, 9) as usize
+    } else {
+        3
+    };
+    format!("{ms:.decimals$}")
 }
 
 /// Extracts the balanced-brace JSON object bound to the given top-level key
@@ -2081,5 +2103,20 @@ fn post(inst: &PrefInstance, p: usize) -> String {
         format!("l(a{})", p - inst.num_posts() + 1)
     } else {
         format!("p{}", p + 1)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fmt_ms;
+
+    #[test]
+    fn fmt_ms_keeps_three_significant_figures() {
+        assert_eq!(fmt_ms(209.04), "209.040");
+        assert_eq!(fmt_ms(1.5), "1.500");
+        assert_eq!(fmt_ms(0.123), "0.123");
+        assert_eq!(fmt_ms(0.00127), "0.00127");
+        assert_eq!(fmt_ms(0.000772), "0.000772");
+        assert_eq!(fmt_ms(0.0), "0.000");
     }
 }

@@ -47,7 +47,9 @@
 //! warm flushes then draw all shard scratch (member/post lists, remapped
 //! `f`/`s`/`matched` slices, the [`EpochMap`] remap table) from those
 //! pools and perform zero heap allocations — the harness gates this with
-//! the counting allocator, like the warm-solve path.
+//! the counting allocator, like the warm-solve path.  That holds while
+//! callers keep clones of the answers too: the solver publishes into a
+//! recycled spare buffer instead of copying a held one (DESIGN.md §10).
 
 use pm_pram::tracker::DepthTracker;
 use pm_pram::workspace::{EpochMap, EpochMarks, Workspace};
@@ -64,6 +66,12 @@ use crate::max_cardinality::improve_to_maximum_cardinality_ws;
 /// patching and re-solves the whole instance (the decomposition is rebuilt
 /// from scratch as a side effect, undoing union-only coarsening).
 pub const FULL_SOLVE_DIRTY_FRACTION: f64 = 0.25;
+
+/// The log of applicants spliced since the spare answer buffer was current
+/// holds one applicant in this many (plus a small floor).  Beyond that,
+/// replaying the log costs about as much as copying the whole answer, so
+/// the solver stops logging and copies instead.
+const RESPLICE_LOG_DIVISOR: usize = 64;
 
 /// Which pipeline the incremental layer keeps the cached matching on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,7 +221,15 @@ pub struct DeltaSolver {
     needs_full: bool,
     infeasible_full: bool,
 
+    // The published matching and its spare (DESIGN.md §10).  `out` is the
+    // cached matching `flush` returns; callers may hold clones of it.
+    // `spare` is the buffer published before it, recycled once no caller
+    // holds it.  While `spare_synced`, the spare equals `out` except at the
+    // applicants in `respliced`, a log whose capacity is fixed at install.
     out: Assignment,
+    spare: Assignment,
+    respliced: Vec<Idx>,
+    spare_synced: bool,
 
     ws: Workspace,
     tracker: DepthTracker,
@@ -294,6 +310,9 @@ impl DeltaSolver {
             needs_full: true,
             infeasible_full: false,
             out,
+            spare: Assignment::from_idx_vec(Vec::new()),
+            respliced: Vec::with_capacity(n / RESPLICE_LOG_DIVISOR + 64),
+            spare_synced: false,
             ws: Workspace::new(),
             tracker: DepthTracker::new(),
             post_marks: EpochMarks::new(),
@@ -815,7 +834,9 @@ impl DeltaSolver {
         self.finv_next.push(Idx::NONE);
         self.finv_prev.push(Idx::NONE);
         self.finv_link(n, new_f.get());
+        self.own_out();
         self.out.push_idx(Idx::new(l));
+        self.spare_synced = false;
         // Census + rescans.  The new applicant's own list contains new_f,
         // so the flip-on rescan necessarily covers it; otherwise rescan it
         // explicitly (its s is the NONE sentinel, so rescan always fires).
@@ -880,7 +901,9 @@ impl DeltaSolver {
         self.s.swap_remove(r);
         self.finv_next.swap_remove(r);
         self.finv_prev.swap_remove(r);
+        self.own_out();
         self.out.swap_remove(r);
+        self.spare_synced = false;
 
         // 3. The moved applicant's last resort changes id from np+m to
         // np+r; if its s *was* its last resort, re-point it (the retired
@@ -1085,9 +1108,15 @@ impl DeltaSolver {
                     &self.tracker,
                 );
             }
+            self.own_out();
             let out = self.out.as_mut_slice();
             for i in 0..k {
                 out[members[i].get()] = posts[sub_m[i].get()];
+            }
+            if self.spare_synced && self.respliced.len() + k <= self.respliced.capacity() {
+                self.respliced.extend_from_slice(&members);
+            } else {
+                self.spare_synced = false;
             }
             self.stats.spliced_applicants += k as u64;
             if self.comp_bad[ri] {
@@ -1104,6 +1133,29 @@ impl DeltaSolver {
         self.ws.put_idx(sub_f);
         self.ws.put_idx(posts);
         self.ws.put_idx(members);
+    }
+
+    /// Makes the cached matching writable without changing an answer a
+    /// caller holds.  A held `out` trades places with the spare, which is
+    /// first brought up to date: by replaying the `respliced` log (time
+    /// proportional to the spliced applicants, no allocation) when the spare
+    /// is free and in sync, by one plain copy otherwise — in place into a
+    /// free spare, into a fresh buffer while a caller still holds it.
+    fn own_out(&mut self) {
+        if self.out.is_unique() {
+            return;
+        }
+        if self.spare_synced && self.spare.is_unique() {
+            let (cur, spare) = (self.out.as_slice(), self.spare.as_mut_slice());
+            for &a in &self.respliced {
+                spare[a.get()] = cur[a.get()];
+            }
+        } else {
+            self.spare.copy_from(self.out.as_slice());
+        }
+        std::mem::swap(&mut self.out, &mut self.spare);
+        self.respliced.clear();
+        self.spare_synced = true;
     }
 
     /// Full rebuild: recompute the reduced graph from the arena, solve
@@ -1159,8 +1211,14 @@ impl DeltaSolver {
         }
         self.tracker.work(examined);
 
-        // Global solve through the shared workspace.
+        // Global solve through the shared workspace, into a buffer no
+        // caller holds: every slot is rewritten, so a held `out` trades
+        // places with the spare instead of being copied.
+        if !self.out.is_unique() {
+            std::mem::swap(&mut self.out, &mut self.spare);
+        }
         self.out.reset_unassigned(n);
+        self.spare_synced = false;
         let (feasible, _peel_rounds) = applicant_complete_matching_into(
             total,
             &self.f,
@@ -1313,6 +1371,57 @@ mod tests {
         // The untouched components kept their cached slots.
         let after = ds.flush().unwrap().as_slice().to_vec();
         assert_eq!(after[1..], before[1..]);
+    }
+
+    /// Applies `d` and flushes; checks the answer against a fresh solve and
+    /// returns a clone of it, held as a caller would hold it.
+    fn publish(ds: &mut DeltaSolver, d: &Delta) -> Assignment {
+        ds.apply(d).unwrap();
+        assert_matches_fresh(ds);
+        ds.flush().unwrap().clone()
+    }
+
+    #[test]
+    fn held_answers_never_change_while_the_spare_recycles() {
+        let lists: Vec<Vec<usize>> = (0..8).map(|a| vec![2 * a, 2 * a + 1]).collect();
+        let base = PrefInstance::new_strict(16, lists).unwrap();
+        let mut ds = DeltaSolver::install(&base, DeltaMode::Popular).unwrap();
+        let swap_first = |a: usize| Delta::EditPrefList {
+            applicant: a,
+            prefs: vec![2 * a + 1, 2 * a],
+        };
+        let ptr = |m: &Assignment| m.as_slice().as_ptr();
+
+        // One held generation: the buffer published two rounds back is
+        // recycled once its holder drops it.
+        let a1 = publish(&mut ds, &swap_first(0));
+        let a2 = publish(&mut ds, &swap_first(1));
+        let p1 = ptr(&a1);
+        assert_ne!(p1, ptr(&a2));
+        drop(a1);
+        let a3 = publish(&mut ds, &swap_first(2));
+        assert_eq!(ptr(&a3), p1, "a free spare is recycled");
+        drop(a2);
+
+        // Two held generations: the spare is taken, so the solver copies.
+        let a4 = publish(&mut ds, &swap_first(3));
+        let mut held = vec![(a3.as_slice().to_vec(), a3), (a4.as_slice().to_vec(), a4)];
+        let a5 = publish(&mut ds, &swap_first(4));
+        assert!(held.iter().all(|(_, h)| ptr(h) != ptr(&a5)));
+        held.push((a5.as_slice().to_vec(), a5));
+
+        // A full rebuild, then both applicant-count changes.
+        for d in [
+            Delta::AddPost,
+            Delta::AddApplicant { prefs: vec![16, 0] },
+            Delta::RemoveApplicant { applicant: 0 },
+        ] {
+            let m = publish(&mut ds, &d);
+            held.push((m.as_slice().to_vec(), m));
+        }
+        for (value, m) in &held {
+            assert_eq!(m.as_slice(), &value[..], "a held answer changed");
+        }
     }
 
     #[test]

@@ -30,6 +30,8 @@
 //! kernel below may assume indices fit without re-checking.  The layout is
 //! fixed at construction; instances are immutable afterwards.
 
+use std::sync::Arc;
+
 use pm_pram::{EpochMarks, Idx};
 
 use crate::error::PopularError;
@@ -1121,9 +1123,15 @@ impl PrefInstance {
 /// one extended post (possibly its last resort).  Stored as a dense [`Idx`]
 /// array with [`Idx::NONE`] as the transient "unassigned" sentinel of the
 /// pipeline's output buffer.
+///
+/// The array is a copy-on-write handle: `clone` only bumps a reference
+/// count, so publishing an answer to a cache or to many callers copies
+/// nothing.  Every mutator writes in place while the handle is the sole
+/// owner and copies first while the array is shared, so a held clone never
+/// changes.  Equality compares the assignments by value.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
-    post_of: Vec<Idx>,
+    post_of: Arc<Vec<Idx>>,
 }
 
 impl Assignment {
@@ -1133,26 +1141,46 @@ impl Assignment {
     /// — the same observable behaviour the pre-`Idx` representation had
     /// for out-of-range posts.
     pub fn new(post_of: Vec<usize>) -> Self {
-        Self {
-            post_of: post_of
+        Self::from_idx_vec(
+            post_of
                 .into_iter()
                 .map(|p| Idx::try_new(p).unwrap_or(Idx::NONE))
                 .collect(),
-        }
+        )
     }
 
     /// Wraps an [`Idx`]-typed applicant → extended-post vector (the
     /// pipeline's native form).
     pub fn from_idx_vec(post_of: Vec<Idx>) -> Self {
-        Self { post_of }
+        Self {
+            post_of: Arc::new(post_of),
+        }
     }
 
     /// The assignment in which every applicant takes their last resort.
     pub fn all_last_resort(inst: &PrefInstance) -> Self {
-        Self {
-            post_of: (0..inst.num_applicants())
+        Self::from_idx_vec(
+            (0..inst.num_applicants())
                 .map(|a| inst.last_resort_idx(a))
                 .collect(),
+        )
+    }
+
+    /// True if no clone of this assignment is alive, so a mutator writes
+    /// in place instead of copying.
+    pub(crate) fn is_unique(&mut self) -> bool {
+        Arc::get_mut(&mut self.post_of).is_some()
+    }
+
+    /// Overwrites every slot with `src`: in place while unshared (reusing
+    /// the capacity), into a fresh buffer while a clone holds this one.
+    pub(crate) fn copy_from(&mut self, src: &[Idx]) {
+        match Arc::get_mut(&mut self.post_of) {
+            Some(post_of) => {
+                post_of.clear();
+                post_of.extend_from_slice(src);
+            }
+            None => self.post_of = Arc::new(src.to_vec()),
         }
     }
 
@@ -1166,39 +1194,49 @@ impl Assignment {
         self.post_of[a].get()
     }
 
-    /// Reassigns applicant `a`.
+    /// Reassigns applicant `a`.  Loops that rewrite many slots should go
+    /// through one [`as_mut_slice`](Self::as_mut_slice) instead, which
+    /// checks for sharing once rather than per slot.
     pub fn set_post(&mut self, a: usize, post: usize) {
-        self.post_of[a] = Idx::new(post);
+        Arc::make_mut(&mut self.post_of)[a] = Idx::new(post);
     }
 
-    /// Clears the assignment in place and resizes it to `n` applicants, all
-    /// set to the [`Idx::NONE`] "unassigned" sentinel, reusing the buffer's
-    /// capacity.  This is the solver's output-buffer reset: the pipeline
-    /// then writes every slot exactly once, so a warm refill allocates
-    /// nothing.  The assignment is not valid until every slot is written.
+    /// Clears the assignment and resizes it to `n` applicants, all set to
+    /// the [`Idx::NONE`] "unassigned" sentinel.  This is the solver's
+    /// output-buffer reset: the pipeline then writes every slot exactly
+    /// once, so a warm refill of an unshared buffer reuses its capacity and
+    /// allocates nothing, and a shared buffer is left to its holders for a
+    /// fresh one (copying slots about to be overwritten would be wasted).
+    /// The assignment is not valid until every slot is written.
     pub fn reset_unassigned(&mut self, n: usize) {
-        self.post_of.clear();
-        self.post_of.resize(n, Idx::NONE);
+        match Arc::get_mut(&mut self.post_of) {
+            Some(post_of) => {
+                post_of.clear();
+                post_of.resize(n, Idx::NONE);
+            }
+            None => self.post_of = Arc::new(vec![Idx::NONE; n]),
+        }
     }
 
     /// Mutable access to the raw applicant → extended-post slots, for
-    /// pipeline stages that fill a reused output buffer in place.
+    /// pipeline stages that fill a reused output buffer in place (copying
+    /// the slots first if a clone shares them).
     pub fn as_mut_slice(&mut self) -> &mut [Idx] {
-        &mut self.post_of
+        Arc::make_mut(&mut self.post_of).as_mut_slice()
     }
 
     /// Appends one applicant slot assigned to the raw extended post `post`
     /// — the incremental delta layer's `add_applicant` growth path (the
     /// slot is rewritten by the next shard solve before it is observable).
     pub fn push_idx(&mut self, post: Idx) {
-        self.post_of.push(post);
+        Arc::make_mut(&mut self.post_of).push(post);
     }
 
     /// Removes applicant `a`'s slot by moving the last applicant into index
     /// `a` — the delta layer's `remove_applicant` renumbering, which keeps
     /// the applicant id space dense without shifting every later id.
     pub fn swap_remove(&mut self, a: usize) {
-        self.post_of.swap_remove(a);
+        Arc::make_mut(&mut self.post_of).swap_remove(a);
     }
 
     /// The underlying applicant → extended-post slice.
@@ -1647,5 +1685,30 @@ mod tests {
         assert_eq!(m.as_slice()[0], Idx::new(0));
         let v = Assignment::from_idx_vec(idxs(&[0, 1]));
         assert_eq!(v.post(1), 1);
+
+        // Copy-on-write: a clone taken before any mutator keeps its value,
+        // and the mutated handle no longer equals it.
+        let mutators: [fn(&mut Assignment); 5] = [
+            |m| m.set_post(1, 0),
+            |m| m.as_mut_slice()[2] = Idx::new(9),
+            |m| m.reset_unassigned(3),
+            |m| m.push_idx(Idx::new(7)),
+            |m| m.swap_remove(0),
+        ];
+        for mutate in mutators {
+            let mut m = Assignment::from_idx_vec(idxs(&[3, 4, 5]));
+            let held = m.clone();
+            assert!(!m.is_unique());
+            mutate(&mut m);
+            assert_eq!(held.as_slice(), idxs(&[3, 4, 5]).as_slice());
+            assert_ne!(m, held);
+            assert!(m.is_unique(), "the mutated handle owns its copy");
+        }
+        // A unique handle mutates in place: same buffer, no copy.
+        let mut m = Assignment::from_idx_vec(idxs(&[3, 4, 5]));
+        let before = m.as_slice().as_ptr();
+        m.reset_unassigned(3);
+        m.as_mut_slice()[0] = Idx::new(1);
+        assert_eq!(m.as_slice().as_ptr(), before);
     }
 }

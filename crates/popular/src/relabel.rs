@@ -161,17 +161,14 @@ impl Relabeled {
     /// inverse permutation; last resorts (`num_posts + a`) are
     /// applicant-keyed and identical on both sides.
     pub fn map_back_into(&self, relabeled: &Assignment, out: &mut Assignment) {
-        let n = relabeled.num_applicants();
         let num_posts = self.inst.num_posts();
-        out.reset_unassigned(n);
-        for a in 0..n {
-            let p = relabeled.post(a);
-            let orig = if p < num_posts {
-                self.perm.old_id(p).get()
+        out.reset_unassigned(relabeled.num_applicants());
+        for (slot, &p) in out.as_mut_slice().iter_mut().zip(relabeled.as_slice()) {
+            *slot = if p.get() < num_posts {
+                self.perm.old_id(p.get())
             } else {
                 p
             };
-            out.set_post(a, orig);
         }
     }
 }

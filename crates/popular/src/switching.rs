@@ -476,12 +476,13 @@ impl SwitchingGraph {
     /// Applies the switching cycle through `cycle_posts` to `matching`:
     /// every applicant on the cycle switches to its other reduced post.
     pub fn apply_cycle(&self, matching: &mut Assignment, cycle_posts: &[usize]) {
+        let slots = matching.as_mut_slice();
         for &p in cycle_posts {
             let a = self.out_applicant[p]
                 .some()
                 .expect("cycle posts are matched");
             let target = self.succ[p].some().expect("cycle posts have successors");
-            matching.set_post(a, target);
+            slots[a] = Idx::new(target);
         }
     }
 
@@ -493,12 +494,13 @@ impl SwitchingGraph {
         let posts = self
             .switching_path(q)
             .expect("apply_path requires a valid switching path start");
+        let slots = matching.as_mut_slice();
         for p in posts {
             let a = self.out_applicant[p]
                 .some()
                 .expect("path posts are matched");
             let target = self.succ[p].some().expect("path posts have successors");
-            matching.set_post(a, target);
+            slots[a] = Idx::new(target);
         }
     }
 

@@ -37,12 +37,11 @@ use pm_popular::instance::{Assignment, PrefInstance};
 pub fn serial_dictatorship(inst: &PrefInstance) -> Assignment {
     let mut taken = vec![false; inst.num_posts()];
     let mut out = Assignment::all_last_resort(inst);
-    for a in 0..inst.num_applicants() {
+    for (a, slot) in out.as_mut_slice().iter_mut().enumerate() {
         for &p in inst.flat_list(a) {
-            let p = p.get();
-            if !taken[p] {
-                taken[p] = true;
-                out.set_post(a, p);
+            if !taken[p.get()] {
+                taken[p.get()] = true;
+                *slot = p;
                 break;
             }
         }

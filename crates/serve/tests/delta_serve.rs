@@ -5,6 +5,7 @@
 //! Every server gets an explicit fault spec so the suite stays
 //! deterministic even when the environment exports `PM_FAULTS`.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -41,25 +42,123 @@ fn tail_reversal(inst: &PrefInstance, a: usize) -> Delta {
     }
 }
 
+/// An edit of applicant `a` that swaps its first two choices, so its first
+/// choice changes (valid against any instance with list length ≥ 2).
+fn head_swap(inst: &PrefInstance, a: usize) -> Delta {
+    let mut prefs: Vec<usize> = inst.flat_list(a).iter().map(|p| p.get()).collect();
+    prefs.swap(0, 1);
+    Delta::EditPrefList {
+        applicant: a,
+        prefs,
+    }
+}
+
 #[test]
 fn delta_round_trip_matches_direct_incremental_solver() {
-    let server = Server::start(quiet_config());
+    // Ids 9 and 10 take the same rounds of deltas.  The client keeps every
+    // answer of id 9 to the end.  Of id 10 it holds only the latest round's
+    // answers, or the latest two rounds' in one stretch, as a caller that
+    // replaces its copy does; the server then publishes into recycled
+    // buffers.  Every answer must equal the direct solver's for its round,
+    // on arrival and for as long as it is held.  The edits change first
+    // choices, so most rounds change the answer.
+    let spec = Spec::none();
+    let mut cfg = quiet_config();
+    cfg.workers = 1;
+    cfg.faults = spec.clone();
+    let server = Server::start(cfg);
     let inst = gen(500, 3);
-    server.install_delta(9, &inst, SolveMode::Popular).unwrap();
+    let np = inst.num_posts();
+    for id in [9, 10] {
+        server.install_delta(id, &inst, SolveMode::Popular).unwrap();
+    }
     let mut direct = DeltaSolver::install(&inst, DeltaMode::Popular).unwrap();
-    for a in [0usize, 7, 123] {
-        let d = tail_reversal(&inst, a);
-        let resp = server.apply_delta(DeltaRequest::new(9, d.clone())).unwrap();
-        assert_eq!(resp.quality, Quality::Full);
-        assert_eq!(resp.coalesced, 1);
-        assert!(!resp.overran_deadline);
-        direct.apply(&d).unwrap();
-        assert_eq!(resp.matching.as_slice(), direct.flush().unwrap().as_slice());
+
+    let rounds = 72;
+    let mut kept = Vec::new();
+    let mut held = VecDeque::new();
+    let mut deltas_sent = 0;
+    for round in 0..rounds {
+        let deltas: Vec<Delta> = match round {
+            // A burst coalesced into one round behind a stalled worker.
+            20 => (400..404).map(|a| head_swap(&inst, a)).collect(),
+            // A full rebuild, then the applicant count grows and shrinks.
+            30 => vec![Delta::AddPost],
+            31 => vec![Delta::AddApplicant { prefs: vec![np] }],
+            32 => vec![Delta::RemoveApplicant { applicant: 0 }],
+            _ => vec![head_swap(&inst, (round * 37) % 400)],
+        };
+        deltas_sent += deltas.len();
+        let stall = (deltas.len() > 1).then(|| {
+            spec.set("delay:200ms").unwrap();
+            server
+                .submit(Request::new(Arc::new(gen(50, 6)), 77))
+                .unwrap()
+        });
+        let tickets: Vec<Vec<_>> = [9, 10]
+            .iter()
+            .map(|&id| {
+                deltas
+                    .iter()
+                    .map(|d| {
+                        server
+                            .submit_delta(DeltaRequest::new(id, d.clone()))
+                            .unwrap()
+                    })
+                    .collect()
+            })
+            .collect();
+        if let Some(stall) = stall {
+            // Disabled only once the stall is over, so it surely slept.
+            assert!(stall.wait().is_ok());
+            spec.disable();
+        }
+        for d in &deltas {
+            direct.apply(d).unwrap();
+        }
+        let want = direct.flush().unwrap().as_slice().to_vec();
+        let [answers_9, answers_10]: [Vec<_>; 2] = tickets
+            .into_iter()
+            .map(|ts| {
+                ts.into_iter()
+                    .map(|t| {
+                        let resp = t.wait().unwrap();
+                        assert_eq!(resp.quality, Quality::Full);
+                        assert_eq!(resp.coalesced, deltas.len(), "round {round}");
+                        assert!(!resp.overran_deadline);
+                        assert_eq!(resp.matching.as_slice(), want.as_slice(), "round {round}");
+                        resp
+                    })
+                    .collect()
+            })
+            .collect::<Vec<_>>()
+            .try_into()
+            .unwrap();
+        kept.push((round, want.clone(), answers_9));
+        held.push_back((round, want, answers_10));
+        let generations = if (50..58).contains(&round) { 2 } else { 1 };
+        while held.len() > generations {
+            held.pop_front();
+        }
+        for (r, want, answers) in &held {
+            for resp in answers {
+                assert_eq!(resp.matching.as_slice(), want.as_slice(), "round {r}");
+            }
+        }
+    }
+    for (r, want, answers) in &kept {
+        for resp in answers {
+            assert_eq!(
+                resp.matching.as_slice(),
+                want.as_slice(),
+                "round {r} changed"
+            );
+        }
     }
     let stats = server.stats();
-    assert_eq!(stats.served, 3);
-    assert_eq!(stats.delta_ticks, 3);
-    assert_eq!(stats.deltas_coalesced, 3);
+    assert_eq!(stats.served, 2 * deltas_sent as u64 + 1);
+    assert_eq!(stats.delta_ticks, 2 * rounds as u64);
+    assert_eq!(stats.deltas_coalesced, 2 * deltas_sent as u64);
     server.shutdown();
 }
 
