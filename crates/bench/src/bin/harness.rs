@@ -16,10 +16,8 @@
 //! solves on a reused [`PopularSolver`], the cold free-function path for
 //! comparison, and batched throughput, all reported as amortized
 //! per-request milliseconds — and writes schema-6 `BENCH_popular.json`,
-//! the perf trajectory file every perf PR measures itself against (the
-//! schema-6 header records the effective `PM_CHUNK_BYTES` /
-//! `PM_PREFETCH_DIST` knobs and whether the prefetch feature was compiled
-//! in).  The `layout/` families A/B the locality layout pass
+//! the perf trajectory file every perf PR measures itself against.  The
+//! `layout/` families A/B the locality layout pass
 //! (`pm_instances::layout`, DESIGN.md §12) on the clustered-scattered
 //! workload.  The
 //! server-routed families (`served/server_warm`, `served/degraded`,
@@ -55,7 +53,9 @@
 //! `--profile` (its own mode, takes precedence) prints the per-kernel phase
 //! clock — reduce / algorithm2 / promote / census / jump wall time per warm
 //! solve, plus the Hopcroft–Karp referee's bfs / dfs / augment phases per
-//! warm `solve_ties` — via `pm_popular::profile`.
+//! warm `solve_ties` — via `pm_popular::profile`.  An unknown flag, a
+//! value flag without its value, or a `--workloads` glob that selects no
+//! workload prints the usage line and exits 2 without writing anything.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -127,52 +127,90 @@ use pm_serve::{DeltaRequest, Request, ServeError, Server, ServerConfig, SolveMod
 use pm_stable::next::{next_stable_matchings, NextStableOutcome};
 use pm_stable::rotations::exposed_rotations_sequential;
 
+const USAGE: &str = "usage: harness [--quick] [--profile] [--json [--json-out PATH] \
+                     [--threads 1,2,4] [--workloads GLOB] [--assert-speedup FLOOR]]";
+
+/// The parsed command line; see the module docs for what each flag does.
+#[derive(Debug, Default)]
+struct Cli {
+    quick: bool,
+    profile: bool,
+    json: bool,
+    json_out: String,
+    threads: Vec<usize>,
+    workloads: Option<String>,
+    assert_speedup: Option<f64>,
+}
+
+/// Parses the arguments after the program name.  Every flag must be known
+/// and every value flag needs a value, so a typo or a trailing `--json-out`
+/// is an error rather than a silent full sweep or an overwritten
+/// `BENCH_popular.json`.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Cli, String> {
+    let mut cli = Cli {
+        json_out: "BENCH_popular.json".to_string(),
+        threads: vec![1, 2, 4],
+        ..Cli::default()
+    };
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--quick" => cli.quick = true,
+            "--profile" => cli.profile = true,
+            "--json" => cli.json = true,
+            "--json-out" => cli.json_out = value()?,
+            "--workloads" => cli.workloads = Some(value()?),
+            "--threads" => {
+                let list = value()?;
+                cli.threads = list
+                    .split(',')
+                    .map(|t| t.trim().parse())
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| format!("--threads takes e.g. 1,2,4, not {list}"))?;
+                if cli.threads.first() != Some(&1) || cli.threads.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err("--threads must be strictly increasing and start at 1 \
+                                (speedup_vs_1 compares the first and last entries)"
+                        .to_string());
+                }
+            }
+            "--assert-speedup" => {
+                let floor = value()?;
+                cli.assert_speedup = Some(
+                    floor
+                        .parse()
+                        .map_err(|_| format!("--assert-speedup takes e.g. 3.0, not {floor}"))?,
+                );
+            }
+            _ => return Err(format!("unknown flag {flag}")),
+        }
+    }
+    Ok(cli)
+}
+
+/// Rejects the command line: prints `err` and the usage line, exits 2.
+fn usage_exit(err: &str) -> ! {
+    eprintln!("harness: {err}\n{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    if args.iter().any(|a| a == "--profile") {
+    let cli = parse_args(std::env::args().skip(1)).unwrap_or_else(|err| usage_exit(&err));
+    let quick = cli.quick;
+    if cli.profile {
         profile_trajectory(quick);
         return;
     }
-    if args.iter().any(|a| a == "--json") {
-        let out_path = args
-            .iter()
-            .position(|a| a == "--json-out")
-            .and_then(|i| args.get(i + 1))
-            .map_or("BENCH_popular.json", String::as_str);
-        let threads: Vec<usize> = args
-            .iter()
-            .position(|a| a == "--threads")
-            .and_then(|i| args.get(i + 1))
-            .map_or_else(
-                || vec![1, 2, 4],
-                |list| {
-                    list.split(',')
-                        .map(|t| t.trim().parse().expect("--threads takes e.g. 1,2,4"))
-                        .collect()
-                },
-            );
-        assert!(
-            threads.first() == Some(&1) && threads.windows(2).all(|w| w[0] < w[1]),
-            "--threads must be strictly increasing and start at 1 \
-             (speedup_vs_1 compares the first and last entries)"
-        );
-        let workload_filter = args
-            .iter()
-            .position(|a| a == "--workloads")
-            .and_then(|i| args.get(i + 1))
-            .cloned();
-        let speedup_floor: Option<f64> = args
-            .iter()
-            .position(|a| a == "--assert-speedup")
-            .and_then(|i| args.get(i + 1))
-            .map(|v| v.parse().expect("--assert-speedup takes e.g. 3.0"));
+    if cli.json {
         json_trajectory(
             quick,
-            &threads,
-            out_path,
-            workload_filter.as_deref(),
-            speedup_floor,
+            &cli.threads,
+            &cli.json_out,
+            cli.workloads.as_deref(),
+            cli.assert_speedup,
         );
         return;
     }
@@ -869,6 +907,9 @@ fn json_trajectory(
     incremental_trajectory(quick, threads, reps, &selected, &mut results);
     server_trajectory(quick, reps, &selected, &mut results);
     cold_trajectory(quick, reps, &selected, &mut results);
+    if results.is_empty() {
+        usage_exit("--workloads selects no workload that runs in this build");
+    }
 
     let baseline = std::fs::read_to_string(out_path)
         .ok()
@@ -1985,21 +2026,6 @@ fn render_json(
         "  \"rayon_threads\": {},\n",
         rayon::current_num_threads()
     ));
-    // The effective tuning knobs of this run (PM_CHUNK_BYTES /
-    // PM_PREFETCH_DIST env overrides land here), so trajectory numbers are
-    // reproducible without knowing the runner's environment.
-    out.push_str(&format!(
-        "  \"chunk_bytes\": {},\n",
-        pm_pram::tune::chunk_bytes()
-    ));
-    out.push_str(&format!(
-        "  \"prefetch_dist\": {},\n",
-        pm_pram::tune::prefetch_dist()
-    ));
-    out.push_str(&format!(
-        "  \"prefetch_compiled\": {},\n",
-        cfg!(feature = "prefetch")
-    ));
     out.push_str(&format!(
         "  \"thread_sweep\": [{}],\n",
         threads
@@ -2108,7 +2134,41 @@ fn post(inst: &PrefInstance, p: usize) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::fmt_ms;
+    use super::{fmt_ms, parse_args, Cli};
+
+    fn parse(line: &str) -> Result<Cli, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn parse_args_reads_every_flag_and_keeps_defaults() {
+        let defaults = parse("").unwrap();
+        assert_eq!(defaults.json_out, "BENCH_popular.json");
+        assert_eq!(defaults.threads, [1, 2, 4]);
+        let cli = parse("--quick --json --json-out x.json --threads 1,4 --profile").unwrap();
+        assert!(cli.quick && cli.json && cli.profile);
+        assert_eq!(cli.json_out, "x.json");
+        assert_eq!(cli.threads, [1, 4]);
+        let cli = parse("--workloads served/* --assert-speedup 3").unwrap();
+        assert_eq!(cli.workloads.as_deref(), Some("served/*"));
+        assert_eq!(cli.assert_speedup, Some(3.0));
+    }
+
+    #[test]
+    fn parse_args_rejects_unknown_flags_and_missing_values() {
+        for (line, want) in [
+            ("--json --quik", "unknown flag --quik"),
+            ("stray", "unknown flag stray"),
+            // A trailing value flag must not fall back to its default path.
+            ("--json --json-out", "--json-out needs a value"),
+            ("--json-out --json", "--json-out needs a value"),
+            ("--threads 1,x", "--threads takes"),
+            ("--threads 2,4", "strictly increasing"),
+            ("--assert-speedup fast", "--assert-speedup takes"),
+        ] {
+            assert!(parse(line).unwrap_err().contains(want), "{line}");
+        }
+    }
 
     #[test]
     fn fmt_ms_keeps_three_significant_figures() {

@@ -52,116 +52,32 @@ impl ComponentLabels {
 
 /// Deterministic parallel connected components (min-label hooking +
 /// shortcutting), `O(log n)` rounds.
+///
+/// A `usize` adapter over [`connected_components_idx_ws`]: same labels,
+/// same rounds, same depth/work charges.
+///
+/// # Panics
+///
+/// Panics if an edge endpoint is out of range or `n` does not fit the
+/// [`Idx`] layer.
 pub fn connected_components_parallel(
     n: usize,
     edges: &[(usize, usize)],
     tracker: &DepthTracker,
 ) -> ComponentLabels {
-    connected_components_ws(n, edges, &mut Workspace::new(), tracker)
-}
-
-/// Workspace-backed variant of [`connected_components_parallel`]: the
-/// hooking forest, the two round-scratch snapshots and the output labelling
-/// are all checked out of `ws`, so repeated calls against a long-lived
-/// workspace allocate nothing (the caller may return `label` to the
-/// workspace with `put_usize` when done with the result).
-pub fn connected_components_ws(
-    n: usize,
-    edges: &[(usize, usize)],
-    ws: &mut Workspace,
-    tracker: &DepthTracker,
-) -> ComponentLabels {
-    if n == 0 {
-        return ComponentLabels {
-            label: Vec::new(),
-            count: 0,
-            rounds: 0,
-        };
-    }
-    for &(u, v) in edges {
-        assert!(u < n && v < n, "edge endpoint out of range");
-    }
-
-    let parent = ws.take_atomic_identity(n);
-    let mut rounds = 0u64;
-
-    // Round-scratch buffers, reused across all hooking rounds (every cell
-    // is rewritten at the start of each round, so the checkouts skip the
-    // fill).
-    let mut snapshot = ws.take_usize_dirty(n, 0);
-    let mut grand = ws.take_usize_dirty(n, 0);
-
-    loop {
-        rounds += 1;
-        tracker.round();
-        tracker.work((n + edges.len()) as u64);
-
-        // Snapshot of the grandparent function at the start of the round
-        // (CREW-style reads against a consistent state).
-        for (s, p) in snapshot.iter_mut().zip(parent.iter()) {
-            *s = p.load(Ordering::Relaxed);
-        }
-        for (g, &p) in grand.iter_mut().zip(snapshot.iter()) {
-            *g = snapshot[p];
-        }
-
-        // Hooking: every edge tries to pull both endpoints' (grand)parents
-        // down to the smaller grandparent; min-writes commute, so the result
-        // is deterministic regardless of scheduling.
-        edges.par_iter().for_each(|&(u, v)| {
-            let (gu, gv) = (grand[u], grand[v]);
-            let m = gu.min(gv);
-            parent[snapshot[u]].fetch_min(m, Ordering::Relaxed);
-            parent[snapshot[v]].fetch_min(m, Ordering::Relaxed);
-            parent[u].fetch_min(m, Ordering::Relaxed);
-            parent[v].fetch_min(m, Ordering::Relaxed);
-        });
-
-        // Shortcutting: parent[v] <- grandparent, read against a post-hook
-        // snapshot (reusing `grand`, which is free after hooking).  Reading
-        // live `parent[p]` here would race with p's own shortcut write and
-        // make the per-round state — and hence the round count charged on
-        // the tracker — depend on chunk scheduling; the snapshot keeps the
-        // round a pure function of its inputs, so depth accounting stays
-        // bit-for-bit identical across thread counts.
-        for (g, p) in grand.iter_mut().zip(parent.iter()) {
-            *g = p.load(Ordering::Relaxed);
-        }
-        (0..n).into_par_iter().for_each(|v| {
-            let gp = grand[grand[v]];
-            parent[v].fetch_min(gp, Ordering::Relaxed);
-        });
-
-        // Converged when every vertex points at a fixed point and hooking
-        // changed nothing this round.
-        let stable = parent
-            .iter()
-            .zip(snapshot.iter())
-            .all(|(p, &s)| p.load(Ordering::Relaxed) == s);
-        if stable {
-            break;
-        }
-        assert!(
-            rounds <= 4 * (usize::BITS as u64) + 8,
-            "connected components failed to converge"
-        );
-    }
-
-    let mut label = ws.take_usize(n, 0);
-    for (l, p) in label.iter_mut().zip(parent.iter()) {
-        *l = p.load(Ordering::Relaxed);
-    }
-    ws.put_atomic(parent);
-    ws.put_usize(snapshot);
-    ws.put_usize(grand);
-    // After convergence the parent forest is a set of stars rooted at the
-    // minimum vertex of each component.
-    debug_assert!(label.iter().all(|&l| label[l] == l));
-    let count = label.iter().enumerate().filter(|&(v, &l)| v == l).count();
+    assert!(n <= Idx::MAX_INDEX + 1, "input exceeds the u32 index layer");
+    let edges: Vec<(Idx, Idx)> = edges
+        .iter()
+        .map(|&(u, v)| {
+            assert!(u < n && v < n, "edge endpoint out of range");
+            (Idx::new(u), Idx::new(v))
+        })
+        .collect();
+    let labels = connected_components_idx_ws(n, &edges, &mut Workspace::new(), tracker);
     ComponentLabels {
-        label,
-        count,
-        rounds,
+        label: labels.label.iter().map(|l| l.get()).collect(),
+        count: labels.count,
+        rounds: labels.rounds,
     }
 }
 
@@ -176,11 +92,12 @@ pub struct ComponentLabelsIdx {
     pub rounds: u64,
 }
 
-/// The 32-bit twin of [`connected_components_ws`]: edges are `(Idx, Idx)`
-/// pairs, the hooking forest is `AtomicU32` and the output labelling is
-/// `Idx` — all the dense state of the min-label hooking loop at half the
-/// byte width (DESIGN.md §7).  The labels are numerically identical to the
-/// `usize` algorithm's (the caller may return `label` with `put_idx`).
+/// Workspace-backed parallel connected components on the 32-bit layer:
+/// edges are `(Idx, Idx)` pairs, the hooking forest is `AtomicU32` and the
+/// output labelling is `Idx` (DESIGN.md §7).  The hooking forest, the two
+/// round-scratch snapshots and the output labelling are all checked out of
+/// `ws`, so repeated calls against a long-lived workspace allocate nothing
+/// (the caller may return `label` with `put_idx` when done with it).
 pub fn connected_components_idx_ws(
     n: usize,
     edges: &[(Idx, Idx)],
@@ -233,8 +150,9 @@ pub fn connected_components_idx_ws(
             parent[v].fetch_min(m, Ordering::Relaxed);
         });
 
-        // Shortcutting against a post-hook snapshot (see the usize variant
-        // for why the snapshot keeps round counts schedule-independent).
+        // Shortcutting against a post-hook snapshot: reading live
+        // `parent[p]` would race with p's own shortcut write and make the
+        // round count charged on the tracker depend on chunk scheduling.
         for (g, p) in grand.iter_mut().zip(parent.iter()) {
             *g = p.load(Ordering::Relaxed);
         }
@@ -385,19 +303,20 @@ mod tests {
 
     #[test]
     fn ws_variant_agrees_and_reuses_buffers() {
-        use rand::{RngExt, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(77);
+        // The returned labelling is the only `Idx` buffer in the pool, so
+        // every later call, shrinking or regrowing, hands it back out.
         let t = DepthTracker::new();
         let mut ws = Workspace::new();
-        for &n in &[3usize, 50, 800] {
-            let edges: Vec<(usize, usize)> = (0..n)
-                .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
-                .collect();
-            let got = connected_components_ws(n, &edges, &mut ws, &t);
-            let want = connected_components_union_find(n, &edges);
-            assert_eq!(got.label, want.label, "n = {n}");
-            assert_eq!(got.count, want.count);
-            ws.put_usize(got.label);
+        let mut label_buf = None;
+        for n in [800usize, 50, 3, 800] {
+            let path: Vec<(Idx, Idx)> = (1..n).map(|v| (Idx::new(v - 1), Idx::new(v))).collect();
+            let got = connected_components_idx_ws(n, &path, &mut ws, &t);
+            assert_eq!(got.count, 1, "n = {n}");
+            assert!(got.label.iter().all(|&l| l == Idx::ZERO), "n = {n}");
+            let ptr = got.label.as_ptr();
+            assert!(label_buf.is_none_or(|p| p == ptr), "n = {n}");
+            label_buf = Some(ptr);
+            ws.put_idx(got.label);
         }
     }
 

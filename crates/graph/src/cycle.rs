@@ -13,9 +13,9 @@
 //!    directly with a connected-components algorithm (Theorem 8).
 //!
 //! The fast pointer-doubling detector used by the production algorithms
-//! lives on [`FunctionalGraph`](crate::functional::FunctionalGraph); the
-//! routines here are the faithful reproductions of the paper's alternatives
-//! and are cross-validated against it in the tests.
+//! lives on [`FunctionalGraph`]; the routines here are the faithful
+//! reproductions of the paper's alternatives and are cross-validated
+//! against it in the tests.
 
 use rayon::prelude::*;
 

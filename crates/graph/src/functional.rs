@@ -16,14 +16,14 @@ use pm_pram::{Idx, Workspace, SEQUENTIAL_CUTOFF};
 
 use crate::connected::{connected_components_parallel, ComponentLabels};
 
-/// Marks the vertices of a raw successor slice that lie on a directed
-/// cycle, writing into `out` (capacity reused) with all scratch checked out
-/// of `ws` — the allocation-free core behind
+/// Marks the vertices of a raw successor slice (`Idx::NONE` marks a sink)
+/// that lie on a directed cycle, writing into `out` (capacity reused) with
+/// all scratch checked out of `ws` — the allocation-free core behind
 /// [`FunctionalGraph::on_cycle_parallel`], usable without materialising a
 /// `FunctionalGraph` (the switching-graph pipeline feeds its own successor
 /// array straight in).
-pub fn on_cycle_of(
-    succ: &[Option<usize>],
+pub fn on_cycle_of_idx(
+    succ: &[Idx],
     out: &mut Vec<bool>,
     ws: &mut Workspace,
     tracker: &DepthTracker,
@@ -36,64 +36,6 @@ pub fn on_cycle_of(
     // Sinks become fixed points so iteration is total.  The doubling
     // ping-pongs two checked-out buffers; both are fully overwritten
     // before any read, so the checkouts skip the fill.
-    let mut ptr = ws.take_usize_dirty(n, 0);
-    for (v, p) in ptr.iter_mut().enumerate() {
-        *p = succ[v].unwrap_or(v);
-    }
-    let mut scratch = ws.take_usize_dirty(n, 0);
-    let rounds = if n <= 1 {
-        0
-    } else {
-        usize::BITS - (n - 1).leading_zeros()
-    };
-    for _ in 0..rounds {
-        tracker.round();
-        tracker.work(n as u64);
-        if n >= SEQUENTIAL_CUTOFF {
-            scratch
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(v, s)| *s = ptr[ptr[v]]);
-        } else {
-            for (v, s) in scratch.iter_mut().enumerate() {
-                *s = ptr[ptr[v]];
-            }
-        }
-        std::mem::swap(&mut ptr, &mut scratch);
-    }
-
-    // Image computation: one concurrent-write round.
-    tracker.round();
-    tracker.work(n as u64);
-    let mut in_image = ws.take_bool(n, false);
-    for &target in &ptr {
-        in_image[target] = true;
-    }
-    out.resize(n, false);
-    for (v, o) in out.iter_mut().enumerate() {
-        *o = in_image[v] && succ[v].is_some();
-    }
-    ws.put_usize(ptr);
-    ws.put_usize(scratch);
-    ws.put_bool(in_image);
-}
-
-/// The [`Idx`]-sentinel twin of [`on_cycle_of`] — the form the narrowed
-/// switching-graph pipeline feeds in (`Idx::NONE` marks a sink, replacing
-/// the 16-byte `Option<usize>` cells with 4-byte indices).  Same doubling
-/// structure, same round accounting, identical marking.
-pub fn on_cycle_of_idx(
-    succ: &[Idx],
-    out: &mut Vec<bool>,
-    ws: &mut Workspace,
-    tracker: &DepthTracker,
-) {
-    let n = succ.len();
-    out.clear();
-    if n == 0 {
-        return;
-    }
-    // Sinks become fixed points so iteration is total.
     let mut ptr = ws.take_idx_dirty(n, Idx::ZERO);
     for (v, p) in ptr.iter_mut().enumerate() {
         *p = if succ[v].is_none() {
@@ -140,7 +82,9 @@ pub fn on_cycle_of_idx(
     ws.put_bool(in_image);
 }
 
-/// The [`Idx`]-sentinel twin of [`extract_cycles_marked`].
+/// Extracts every directed cycle of a raw successor slice (`Idx::NONE`
+/// marks a sink) given its cycle-vertex marking, each cycle in successor
+/// order starting from its smallest vertex, sorted by that smallest vertex.
 pub fn extract_cycles_marked_idx(succ: &[Idx], on_cycle: &[bool]) -> Vec<Vec<usize>> {
     let n = succ.len();
     let mut seen = vec![false; n];
@@ -157,33 +101,6 @@ pub fn extract_cycles_marked_idx(succ: &[Idx], on_cycle: &[bool]) -> Vec<Vec<usi
             let next = succ[v];
             debug_assert!(next.is_some(), "cycle vertex has a successor");
             v = next.get();
-            if v == start {
-                break;
-            }
-        }
-        cycles.push(cycle);
-    }
-    cycles.sort_by_key(|c| c[0]);
-    cycles
-}
-
-/// Extracts every directed cycle of a raw successor slice given its
-/// cycle-vertex marking, each cycle in successor order starting from its
-/// smallest vertex, sorted by that smallest vertex.
-pub fn extract_cycles_marked(succ: &[Option<usize>], on_cycle: &[bool]) -> Vec<Vec<usize>> {
-    let n = succ.len();
-    let mut seen = vec![false; n];
-    let mut cycles = Vec::new();
-    for start in 0..n {
-        if !on_cycle[start] || seen[start] {
-            continue;
-        }
-        let mut cycle = Vec::new();
-        let mut v = start;
-        loop {
-            seen[v] = true;
-            cycle.push(v);
-            v = succ[v].expect("cycle vertex has a successor");
             if v == start {
                 break;
             }
@@ -235,6 +152,16 @@ impl FunctionalGraph {
         (0..self.n()).filter(|&v| self.succ[v].is_none()).collect()
     }
 
+    /// The successor array narrowed once to the `Idx` layer (`Idx::NONE`
+    /// for a sink), the input of the cycle kernels.
+    fn succ_idx(&self) -> Vec<Idx> {
+        assert!(
+            self.n() <= Idx::MAX_INDEX + 1,
+            "input exceeds the u32 index layer"
+        );
+        self.succ.iter().map(|&s| Idx::from_option(s)).collect()
+    }
+
     /// The directed edges `(v, succ(v))`.
     pub fn edges(&self) -> Vec<(usize, usize)> {
         self.succ
@@ -250,7 +177,7 @@ impl FunctionalGraph {
     /// the image of `succ^N` restricted to non-sinks.
     pub fn on_cycle_parallel(&self, tracker: &DepthTracker) -> Vec<bool> {
         let mut out = Vec::new();
-        on_cycle_of(&self.succ, &mut out, &mut Workspace::new(), tracker);
+        on_cycle_of_idx(&self.succ_idx(), &mut out, &mut Workspace::new(), tracker);
         out
     }
 
@@ -302,18 +229,15 @@ impl FunctionalGraph {
     /// the final vertex sequences are read off by walking each cycle once
     /// (total `O(n)` work).
     pub fn cycles_parallel(&self, tracker: &DepthTracker) -> Vec<Vec<usize>> {
-        let on_cycle = self.on_cycle_parallel(tracker);
-        self.extract_cycles(&on_cycle)
+        let succ = self.succ_idx();
+        let mut on_cycle = Vec::new();
+        on_cycle_of_idx(&succ, &mut on_cycle, &mut Workspace::new(), tracker);
+        extract_cycles_marked_idx(&succ, &on_cycle)
     }
 
     /// Sequential counterpart of [`cycles_parallel`](Self::cycles_parallel).
     pub fn cycles_sequential(&self) -> Vec<Vec<usize>> {
-        let on_cycle = self.on_cycle_sequential();
-        self.extract_cycles(&on_cycle)
-    }
-
-    fn extract_cycles(&self, on_cycle: &[bool]) -> Vec<Vec<usize>> {
-        extract_cycles_marked(&self.succ, on_cycle)
+        extract_cycles_marked_idx(&self.succ_idx(), &self.on_cycle_sequential())
     }
 
     /// Weakly-connected components of the pseudoforest (parallel).
@@ -411,7 +335,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(555);
         let t = DepthTracker::new();
         let mut ws = Workspace::new();
-        let (mut out_opt, mut out_idx) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
         for &n in &[0usize, 1, 2, 40, 3000] {
             let succ: Vec<Option<usize>> = (0..n)
                 .map(|_| {
@@ -423,12 +347,12 @@ mod tests {
                 })
                 .collect();
             let succ_idx: Vec<Idx> = succ.iter().map(|&s| Idx::from_option(s)).collect();
-            on_cycle_of(&succ, &mut out_opt, &mut ws, &t);
-            on_cycle_of_idx(&succ_idx, &mut out_idx, &mut ws, &t);
-            assert_eq!(out_opt, out_idx, "n = {n}");
+            let g = fg(succ);
+            on_cycle_of_idx(&succ_idx, &mut out, &mut ws, &t);
+            assert_eq!(out, g.on_cycle_sequential(), "n = {n}");
             assert_eq!(
-                extract_cycles_marked(&succ, &out_opt),
-                extract_cycles_marked_idx(&succ_idx, &out_idx),
+                extract_cycles_marked_idx(&succ_idx, &out),
+                g.cycles_sequential(),
                 "n = {n}"
             );
         }

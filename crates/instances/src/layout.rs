@@ -15,8 +15,8 @@
 //!    over the applicant–post incidence assigns new ids in discovery order,
 //!    so posts co-referenced by the same applicants land in contiguous id
 //!    blocks.  A gather sweep over applicants then touches a small set of
-//!    [`layout_block_len`](pm_pram::tune::layout_block_len)-sized resident
-//!    windows instead of striding the full array.
+//!    [`LAYOUT_BLOCK_LEN`]-sized resident windows instead of striding the
+//!    full array.
 //! 2. **Blocked edge ordering** ([`apply_permutation`]): within each tie
 //!    group of each preference list — the one place entry order is
 //!    semantically free — destinations are sorted by relabeled id, i.e. by
@@ -127,7 +127,7 @@ pub fn locality_permutation(inst: &PrefInstance) -> Result<PostPermutation, Popu
 /// relabeled post, and within each tie group (where entry order carries no
 /// meaning) the destinations are sorted ascending by relabeled id — the
 /// blocked CSR edge ordering, since contiguous relabeled ids tile the
-/// [`layout_block_len`](pm_pram::tune::layout_block_len)-post blocks.  The
+/// [`LAYOUT_BLOCK_LEN`]-post blocks.  The
 /// rebuilt arrays go back through the full O(|E|) construction validation.
 ///
 /// Strict instances have singleton tie groups, so for them this is a pure
@@ -184,13 +184,17 @@ pub fn optimize_layout(inst: &PrefInstance) -> Result<Relabeled, PopularError> {
     Relabeled::new(twin, perm)
 }
 
-/// The block a relabeled post id belongs to, at the effective block length
-/// (`PM_CHUNK_BYTES`-derived; see
-/// [`layout_block_len`](pm_pram::tune::layout_block_len)).  Exposed for
-/// tests and diagnostics — the kernels never need it, which is the point:
-/// locality comes from the id assignment, not from extra indirection.
+/// Block length, in posts, of the locality layout (DESIGN.md §12): the
+/// number of 4-byte post-sided gather targets that fit one
+/// [`TARGET_CHUNK_BYTES`](pm_pram::TARGET_CHUNK_BYTES) chunk.
+pub const LAYOUT_BLOCK_LEN: usize = pm_pram::TARGET_CHUNK_BYTES / 4;
+
+/// The [`LAYOUT_BLOCK_LEN`]-post block a relabeled post id belongs to.
+/// Exposed for tests and diagnostics — the kernels never need it, which is
+/// the point: locality comes from the id assignment, not from extra
+/// indirection.
 pub fn block_of(post: usize) -> usize {
-    post / pm_pram::tune::layout_block_len()
+    post / LAYOUT_BLOCK_LEN
 }
 
 #[cfg(test)]
@@ -303,7 +307,8 @@ mod tests {
 
     #[test]
     fn block_of_uses_the_effective_block_length() {
-        let b = pm_pram::tune::layout_block_len();
+        let b = LAYOUT_BLOCK_LEN;
+        assert_eq!(b, 4096);
         assert_eq!(block_of(0), 0);
         assert_eq!(block_of(b - 1), 0);
         assert_eq!(block_of(b), 1);

@@ -283,7 +283,7 @@ fn write_u32s<W: Write>(w: &mut W, xs: &[u32]) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// The snapshot as an in-memory byte vector (see [`write`]).
+/// The snapshot as an in-memory byte vector (see [`write`](fn@write)).
 pub fn to_bytes(inst: &PrefInstance) -> Vec<u8> {
     let mut out = Vec::with_capacity(byte_len(inst, false));
     write(inst, &mut out).expect("writing to a Vec cannot fail");

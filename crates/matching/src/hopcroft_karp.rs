@@ -8,7 +8,6 @@
 
 use pm_graph::BipartiteGraph;
 use pm_pram::phaseclock::{self, slot};
-use pm_pram::prefetch::prefetch_read;
 use pm_pram::Idx;
 
 use crate::matching::Matching;
@@ -87,7 +86,6 @@ pub fn hopcroft_karp_into(g: &BipartiteGraph, out: &mut Matching, ws: &mut HkScr
         },
     );
 
-    let pd = pm_pram::tune::prefetch_dist();
     loop {
         // BFS phase: layer the free left vertices.  The queue is a plain
         // vector with a read cursor (elements are never removed, so FIFO
@@ -112,10 +110,7 @@ pub fn hopcroft_karp_into(g: &BipartiteGraph, out: &mut Matching, ws: &mut HkScr
                 let (l, dl) = queue[head];
                 head += 1;
                 let nbrs = g.neighbors_left(l.get());
-                for (i, &r) in nbrs.iter().enumerate() {
-                    if let Some(&rn) = nbrs.get(i + pd) {
-                        prefetch_read(rights, rn.get());
-                    }
+                for &r in nbrs {
                     let st = rights[r];
                     if st.left == FREE {
                         found = true;

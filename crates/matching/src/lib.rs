@@ -9,8 +9,8 @@
 //!   [`regular`] extends to 2^k-regular graphs in the spirit of the
 //!   Lev–Pippenger–Valiant routing result the paper cites.
 //! * Theorem 11 reduces maximum-cardinality bipartite matching to popular
-//!   matching; [`hopcroft_karp`] is the independent referee that experiment
-//!   E9 uses to check cardinalities.
+//!   matching; [`hopcroft_karp`](mod@hopcroft_karp) is the independent
+//!   referee that experiment E9 uses to check cardinalities.
 //! * Section VI builds on the stable-marriage model; [`gale_shapley`] is the
 //!   classic sequential algorithm used to produce the stable matchings the
 //!   NC "next"-matching algorithm starts from.

@@ -24,7 +24,6 @@ use rayon::prelude::*;
 
 use pm_pram::compact::compact_indices_fused_into_idx;
 use pm_pram::pointer::{min_label_cycles_idx, pointer_jump_roots_into_idx};
-use pm_pram::prefetch::prefetch_read;
 use pm_pram::scan::csr_offsets_census_into_u32;
 use pm_pram::tracker::DepthTracker;
 use pm_pram::{par_chunk_len_bytes, Idx, Workspace, SEQUENTIAL_CUTOFF};
@@ -97,21 +96,11 @@ pub fn applicant_complete_matching_into(
     if n_a == 0 {
         return (true, 0);
     }
-    // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
-    let pd = pm_pram::tune::prefetch_dist();
-
     // Static adjacency of the reduced graph, post -> incident applicants, in
     // flat CSR form: one counting round, one prefix scan, one fill round —
     // no per-post vectors.
-    // The degree scatter streams `f`/`s` in order but hits `counts` at
-    // random posts; prefetching the two counters a few applicants ahead
-    // hides most of that gather latency behind the increments in flight.
     let mut counts = ws.take_u32(n_p, 0);
     for a in 0..n_a {
-        if a + pd < n_a {
-            prefetch_read(&counts, f[a + pd].get());
-            prefetch_read(&counts, s[a + pd].get());
-        }
         counts[f[a]] += 1;
         counts[s[a]] += 1;
     }
@@ -139,10 +128,6 @@ pub fn applicant_complete_matching_into(
     // (the offsets are exact), so the checkout can skip the fill.
     let mut adj_flat = ws.take_idx_dirty(2 * n_a, Idx::ZERO);
     for a in 0..n_a {
-        if a + pd < n_a {
-            prefetch_read(&cursor, f[a + pd].get());
-            prefetch_read(&cursor, s[a + pd].get());
-        }
         for p in [f[a], s[a]] {
             adj_flat[cursor[p] as usize] = Idx::new(a);
             cursor[p] += 1;
@@ -283,12 +268,6 @@ pub fn applicant_complete_matching_into(
         newly_matched.clear();
         let mut charged = tracker.local();
         for (a, &a_alive) in alive_applicant.iter().enumerate() {
-            // The walk endpoints live at `root_tail[jump_root[arc]]` — a
-            // two-level gather; pull the next applicant's endpoint memo
-            // lines in while this applicant's edges are being decided.
-            if let Some(&r) = jump_root.get(4 * (a + pd)) {
-                prefetch_read(&root_tail, r.get());
-            }
             if !a_alive {
                 continue;
             }

@@ -467,7 +467,7 @@ impl ExactSizeIterator for RankIter<'_> {}
 /// needs to persist an instance without re-deriving structure (the binary
 /// snapshot in `pm_instances::snapshot` writes exactly these sections).
 /// `ties` is `None` for strict instances, whose tie layer is derived, not
-/// stored (see [`TieStore`] on the instance struct).
+/// stored.
 #[derive(Debug, Clone, Copy)]
 pub struct CsrParts<'a> {
     /// Number of real posts.
@@ -859,7 +859,7 @@ impl PrefInstance {
 
     /// [`from_csr_parts`](Self::from_csr_parts) specialised to **strict**
     /// instances, where the tie layer is fully determined and need not be
-    /// supplied, validated, or even materialised (see [`TieStore`]):
+    /// supplied, validated, or even materialised:
     ///
     /// * every tie group is a singleton, so `group_off` is the identity
     ///   boundary array `0, 1, …, |E|`;
@@ -972,8 +972,8 @@ impl PrefInstance {
     }
 
     /// True iff no preference list contains a tie (every tie group is a
-    /// singleton).  Constructors canonicalise (see [`TieStore`]), so this
-    /// is a tag check, not a count comparison.
+    /// singleton).  Constructors canonicalise the tie layer, so this is a
+    /// tag check, not a count comparison.
     pub fn is_strict(&self) -> bool {
         matches!(self.ties, TieStore::Strict)
     }

@@ -14,7 +14,6 @@
 //! pass ([`SwitchingGraph::margins_to_sink`]), so the whole algorithm is
 //! `O(log² n)` depth as claimed by Theorem 10.
 
-use pm_pram::prefetch::prefetch_read;
 use pm_pram::tracker::DepthTracker;
 use pm_pram::{Idx, Workspace};
 
@@ -70,8 +69,6 @@ pub fn improve_to_maximum_cardinality_ws(
 ) {
     let n_a = f.len();
     let total = num_posts + n_a;
-    // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
-    let pd = pm_pram::tune::prefetch_dist();
     debug_assert_eq!(matched.len(), n_a);
 
     // Build G_M: succ[p] = the other reduced post of the applicant matched
@@ -86,14 +83,6 @@ pub fn improve_to_maximum_cardinality_ws(
     let mut in_graph = ws.take_bool(total, false);
     let mut is_s_post = ws.take_bool(total, false);
     for a in 0..n_a {
-        // The scatter streams `f`/`s`/`matched` in order but lands on
-        // random posts; pull the lines for a later applicant in early.
-        if a + pd < n_a {
-            let d = a + pd;
-            prefetch_read(&in_graph, f[d].get());
-            prefetch_read(&in_graph, s[d].get());
-            prefetch_read(&succ, matched[d].get());
-        }
         in_graph[f[a]] = true;
         in_graph[s[a]] = true;
         is_s_post[s[a]] = true;
@@ -134,12 +123,6 @@ pub fn improve_to_maximum_cardinality_ws(
     let mut best_start = ws.take_idx(total, Idx::NONE);
     let mut charged = tracker.local();
     for q in 0..total {
-        // The election gathers through `roots[q]` into the per-sink cells;
-        // prefetch a later post's sink line while this one is scored.
-        if let Some(&rn) = roots.get(q + pd) {
-            prefetch_read(&succ, rn.get());
-            prefetch_read(&best_margin, rn.get());
-        }
         if !in_graph[q] || !is_s_post[q] || succ[q].is_none() {
             continue;
         }

@@ -18,7 +18,6 @@
 use rayon::prelude::*;
 
 use pm_graph::BipartiteGraph;
-use pm_pram::prefetch::prefetch_read;
 use pm_pram::tracker::DepthTracker;
 use pm_pram::{par_chunk_len, Idx, SEQUENTIAL_CUTOFF};
 
@@ -45,8 +44,6 @@ pub fn build_into(
     }
     let n_a = inst.num_applicants();
     tracker.phase();
-    // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
-    let pd = pm_pram::tune::prefetch_dist();
 
     // Steps 1 + 2: every applicant reads its first choice straight off the
     // flat CSR storage (one round), then the f-posts are marked (one
@@ -54,8 +51,7 @@ pub fn build_into(
     // one — the first-choice read feeds the mark scatter while the value is
     // still in a register, halving the traffic over `f`; the charges stay
     // those of the two logical rounds.  On the parallel path the mark
-    // scatter stays a separate sequential sweep, with the random mark line
-    // prefetched a few applicants ahead of the write.
+    // scatter stays a separate sequential sweep.
     tracker.round();
     tracker.work(n_a as u64);
     if f.len() != n_a {
@@ -70,10 +66,7 @@ pub fn build_into(
         f.par_iter_mut()
             .enumerate()
             .for_each(|(a, fa)| *fa = inst.first_choice(a));
-        for (a, &p) in f.iter().enumerate() {
-            if let Some(&pn) = f.get(a + pd) {
-                prefetch_read(is_f_post, pn.get());
-            }
+        for &p in f.iter() {
             is_f_post[p] = true;
         }
     } else {
@@ -94,17 +87,8 @@ pub fn build_into(
     let marks: &[bool] = is_f_post;
     let scan_chunk = |base: usize, sc: &mut [Idx]| {
         let mut charged = tracker.local();
-        let end = base + sc.len();
         for (i, slot) in sc.iter_mut().enumerate() {
             let a = base + i;
-            // The scan probes `marks` at the head of each list; pull the
-            // line for a later applicant's head in ahead of its turn.
-            let ahead = a + pd;
-            if ahead < end {
-                if let Some(&p0) = inst.flat_list(ahead).first() {
-                    prefetch_read(marks, p0.get());
-                }
-            }
             let mut found = None;
             let mut scanned = 0u64;
             for &p in inst.flat_list(a) {

@@ -18,7 +18,6 @@
 
 use pm_graph::connected::{connected_components_idx_ws, ComponentLabelsIdx};
 use pm_graph::functional::{extract_cycles_marked_idx, on_cycle_of_idx, FunctionalGraph};
-use pm_pram::prefetch::prefetch_read;
 use pm_pram::scan::csr_offsets_into_u32;
 use pm_pram::scheduler::RoundScheduler;
 use pm_pram::tracker::DepthTracker;
@@ -57,8 +56,6 @@ pub fn margins_and_roots_of(
     if n == 0 {
         return (ws.take_i32_empty(), ws.take_idx_empty());
     }
-    // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
-    let pd = pm_pram::tune::prefetch_dist();
     debug_assert_eq!(on_cycle.len(), n);
 
     let mut ptr = ws.take_idx_dirty(n, Idx::ZERO);
@@ -92,13 +89,6 @@ pub fn margins_and_roots_of(
     for _ in 0..rounds {
         let changed = sched.step_overwrite(n as u64, |(ptr, acc), (nptr, nacc)| {
             let write = |p: usize, np: &mut Idx, na: &mut i32| -> bool {
-                // Two-level gather (`ptr[ptr[p]]`): software-pipeline it by
-                // prefetching a later element's second hop while this one
-                // resolves.
-                if let Some(&qa) = ptr.get(p + pd) {
-                    prefetch_read(ptr, qa.get());
-                    prefetch_read(acc, qa.get());
-                }
                 let q = ptr[p];
                 *np = ptr[q];
                 *na = acc[p] + acc[q];
@@ -286,8 +276,6 @@ impl SwitchingGraph {
     /// each as a cycle component or a tree component (Lemma 4 (iii)).
     /// Components are ordered by their smallest post.
     pub fn components(&self, tracker: &DepthTracker) -> Vec<SwitchingComponent> {
-        // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
-        let pd = pm_pram::tune::prefetch_dist();
         // All dense scratch — the edge list, the hooking forest, the cycle
         // marking and the label buckets — is checked out of one workspace,
         // so the phases of this call share their slabs instead of each
@@ -322,9 +310,6 @@ impl SwitchingGraph {
         let mut counts = ws.take_u32(self.total_posts, 0);
         let mut charged = tracker.local();
         for p in 0..self.total_posts {
-            if let Some(&ln) = labels.label.get(p + pd) {
-                prefetch_read(&counts, ln.get());
-            }
             if self.in_graph[p] {
                 counts[labels.label[p]] += 1;
                 charged.add(1);
@@ -339,9 +324,6 @@ impl SwitchingGraph {
         let mut bucket_flat = ws.take_idx(*bucket_off.last().unwrap_or(&0) as usize, Idx::ZERO);
         let mut charged = tracker.local();
         for p in 0..self.total_posts {
-            if let Some(&ln) = labels.label.get(p + pd) {
-                prefetch_read(&cursor, ln.get());
-            }
             if self.in_graph[p] {
                 let l = labels.label[p];
                 bucket_flat[cursor[l] as usize] = Idx::new(p);

@@ -9,7 +9,6 @@
 use rayon::prelude::*;
 
 use crate::idx::Idx;
-use crate::scan::offsets_from_counts_into;
 use crate::tracker::DepthTracker;
 use crate::workspace::Workspace;
 use crate::SEQUENTIAL_CUTOFF;
@@ -17,69 +16,31 @@ use crate::SEQUENTIAL_CUTOFF;
 /// Returns the indices `i` for which `keep(i)` is true, in increasing order,
 /// using a prefix-sum based compaction (two scan rounds plus one scatter
 /// round on the [`DepthTracker`]).
+///
+/// A `usize` adapter over [`compact_indices_fused_into_idx`], so `keep`
+/// must be pure: it may be called twice for the same index.
+///
+/// # Panics
+///
+/// Panics if `n` does not fit the [`Idx`] layer.
 pub fn compact_indices<F>(n: usize, keep: F, tracker: &DepthTracker) -> Vec<usize>
 where
     F: Fn(usize) -> bool + Send + Sync,
 {
+    assert!(n <= Idx::MAX_INDEX + 1, "input exceeds the u32 index layer");
     let mut out = Vec::new();
-    compact_indices_into(n, keep, &mut out, &mut Workspace::new(), tracker);
-    out
+    compact_indices_fused_into_idx(n, keep, &mut out, &mut Workspace::new(), tracker);
+    out.iter().map(|i| i.get()).collect()
 }
 
-/// Allocation-free variant of [`compact_indices`]: the flag and slot arrays
-/// are checked out of `ws` and the kept indices are written into `out`
+/// Allocation-free two-pass compaction: the flag and slot arrays are
+/// checked out of `ws` and the kept indices are written into `out`
 /// (capacity reused).  A warm call — same workspace, no larger `n` than any
-/// previous call — performs no heap allocation.
-pub fn compact_indices_into<F>(
-    n: usize,
-    keep: F,
-    out: &mut Vec<usize>,
-    ws: &mut Workspace,
-    tracker: &DepthTracker,
-) where
-    F: Fn(usize) -> bool + Send + Sync,
-{
-    // Round 1: evaluate the predicate into 0/1 counts.
-    tracker.round();
-    tracker.work(n as u64);
-    let mut flags = ws.take_usize(n, 0);
-    if n >= SEQUENTIAL_CUTOFF {
-        flags
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, f)| *f = usize::from(keep(i)));
-    } else {
-        for (i, f) in flags.iter_mut().enumerate() {
-            *f = usize::from(keep(i));
-        }
-    }
-
-    // Scan rounds: each kept element's output slot.
-    let mut slots = ws.take_usize_empty();
-    let mut chunk_scratch = ws.take_usize_empty();
-    let total = offsets_from_counts_into(&flags, &mut slots, &mut chunk_scratch, tracker);
-
-    // Scatter round: slots of kept elements are strictly increasing, so the
-    // sequential writes stream through `out` in order.
-    tracker.round();
-    tracker.work(n as u64);
-    out.clear();
-    out.resize(total, 0);
-    for i in 0..n {
-        if flags[i] == 1 {
-            out[slots[i]] = i;
-        }
-    }
-
-    ws.put_usize(flags);
-    ws.put_usize(slots);
-    ws.put_usize(chunk_scratch);
-}
-
-/// The [`Idx`]-typed twin of [`compact_indices_into`], for the narrowed hot
-/// path: the flag/slot scratch and the output are all 4-byte, halving the
-/// bytes of all three compaction rounds.  `n` must fit the `Idx` range
-/// (guaranteed by the instance-size funnel; debug-asserted here).
+/// previous call — performs no heap allocation.  `n` must fit the `Idx`
+/// range (guaranteed by the instance-size funnel; debug-asserted here).
+///
+/// This is the unfused reference that [`compact_indices_fused_into_idx`] is
+/// checked against.
 pub fn compact_indices_into_idx<F>(
     n: usize,
     keep: F,
@@ -230,6 +191,7 @@ pub fn compact_indices_fused_into_idx<F>(
 
 /// Compacts the elements of `xs` for which `keep` returns true, preserving
 /// their relative order, and returns the surviving elements (cloned).
+/// Built on [`compact_indices`], so `keep` must be pure.
 pub fn compact_with<T, F>(xs: &[T], keep: F, tracker: &DepthTracker) -> Vec<T>
 where
     T: Clone + Send + Sync,
@@ -278,10 +240,9 @@ mod tests {
         let t = DepthTracker::new();
         let mut ws = Workspace::new();
         let mut out = Vec::new();
-        for n in [0usize, 1, 9, 3000, 50_000] {
-            compact_indices_into(n, |i| i % 3 == 1, &mut out, &mut ws, &t);
-            let want: Vec<usize> = (0..n).filter(|&i| i % 3 == 1).collect();
-            assert_eq!(out, want, "n = {n}");
+        for n in [0usize, 1, 9, 3000, 50_000, 2047] {
+            compact_indices_into_idx(n, |i| i % 3 == 1, &mut out, &mut ws, &t);
+            assert_eq!(out, compact_indices(n, |i| i % 3 == 1, &t), "n = {n}");
         }
     }
 

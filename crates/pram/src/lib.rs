@@ -18,9 +18,9 @@
 //! * [`scan`] — parallel prefix sums over an arbitrary associative operation,
 //!   used for list compaction (Section VI of the paper compresses reduced
 //!   preference lists "using parallel prefix sum technique");
-//! * [`pointer`] — pointer jumping / pointer doubling, used to find maximal
-//!   paths of degree-2 vertices in Algorithm 2 ("the doubling trick") and to
-//!   locate roots and cycle representatives in pseudoforests;
+//! * [`pointer`](mod@pointer) — pointer jumping / pointer doubling, used to
+//!   find maximal paths of degree-2 vertices in Algorithm 2 ("the doubling
+//!   trick") and to locate roots and cycle representatives in pseudoforests;
 //! * [`compact`] — stream compaction and parallel filtering built on scans;
 //! * [`reduce`] — parallel reductions (sum / min / max / argmin / argmax);
 //! * [`scheduler`] — a small helper for writing round-synchronous loops with
@@ -40,38 +40,31 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the `prefetch` module scopes one `allow` for
-// the platform prefetch intrinsic (a pure cache hint — no memory is read or
-// written through it); everything else in the crate remains safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod compact;
 pub mod idx;
 pub mod phaseclock;
 pub mod pointer;
-pub mod prefetch;
 pub mod reduce;
 pub mod scan;
 pub mod scheduler;
 pub mod tracker;
-pub mod tune;
 pub mod workspace;
 
 pub use compact::{
-    compact_indices, compact_indices_fused_into_idx, compact_indices_into,
-    compact_indices_into_idx, compact_with,
+    compact_indices, compact_indices_fused_into_idx, compact_indices_into_idx, compact_with,
 };
 pub use idx::Idx;
 pub use pointer::{
-    list_rank, min_label_cycles, min_label_cycles_idx, pointer_jump_roots, pointer_jump_roots_into,
-    pointer_jump_roots_into_idx, PointerJumpResult,
+    list_rank, min_label_cycles_idx, pointer_jump_roots, pointer_jump_roots_into_idx,
+    PointerJumpResult,
 };
-pub use prefetch::{prefetch_read, PREFETCH_DIST};
 pub use reduce::{par_argmax, par_argmin, par_max, par_min, par_sum};
 pub use scan::{
-    csr_offsets, csr_offsets_census_into_u32, csr_offsets_into, csr_offsets_into_u32,
-    offsets_from_counts, offsets_from_counts_into, prefix_scan_exclusive, prefix_scan_inclusive,
-    prefix_sum_exclusive, prefix_sum_inclusive, DegreeCensus,
+    csr_offsets, csr_offsets_census_into_u32, csr_offsets_into_u32, offsets_from_counts,
+    prefix_scan_exclusive, prefix_scan_inclusive, prefix_sum_exclusive, prefix_sum_inclusive,
+    DegreeCensus,
 };
 pub use scheduler::RoundScheduler;
 pub use tracker::{DepthTracker, LocalWork, PramStats};
@@ -109,13 +102,11 @@ pub fn par_chunk_len(len: usize, min_chunk: usize) -> usize {
 pub const TARGET_CHUNK_BYTES: usize = 16 * 1024;
 
 /// Element-size-aware twin of [`par_chunk_len`]: derives the minimum chunk
-/// length from the effective chunk footprint ([`tune::chunk_bytes`] — the
-/// `PM_CHUNK_BYTES` override when set, [`TARGET_CHUNK_BYTES`] otherwise) and
-/// the element size, so `u8` marks and 8- or 16-byte records chunk to
-/// comparable cache footprints instead of a flat element count.  Same
-/// determinism guarantee as [`par_chunk_len`]: the result depends only on
-/// `len`, `elem_bytes` and the configured thread count (plus the
-/// once-per-process tuning knob), never on scheduling.
+/// length from [`TARGET_CHUNK_BYTES`] and the element size, so `u8` marks
+/// and 8- or 16-byte records chunk to comparable cache footprints instead
+/// of a flat element count.  Same determinism guarantee as
+/// [`par_chunk_len`]: the result depends only on `len`, `elem_bytes` and
+/// the configured thread count, never on scheduling.
 pub fn par_chunk_len_bytes(len: usize, elem_bytes: usize) -> usize {
-    par_chunk_len(len, (tune::chunk_bytes() / elem_bytes.max(1)).max(1))
+    par_chunk_len(len, (TARGET_CHUNK_BYTES / elem_bytes.max(1)).max(1))
 }

@@ -10,7 +10,6 @@
 use rayon::prelude::*;
 
 use crate::idx::Idx;
-use crate::prefetch::prefetch_read;
 use crate::tracker::DepthTracker;
 use crate::SEQUENTIAL_CUTOFF;
 
@@ -31,62 +30,90 @@ pub struct PointerJumpResult {
 /// (roots satisfy `parent[r] == r`), the root of its tree and its depth,
 /// using pointer doubling in `⌈log₂ n⌉` rounds.
 ///
+/// A `usize` adapter over [`pointer_jump_roots_into_idx`]: same rounds,
+/// same depth/work charges, numerically the same roots and distances.
+///
 /// # Panics
 ///
-/// Debug builds assert that the input is indeed a forest (no vertex is left
-/// unresolved after `⌈log₂ n⌉` rounds).  In release builds a cyclic input
-/// yields pointers that still sit on their cycle, with `dist` equal to the
-/// number of hops performed; callers that may hand in functional graphs with
-/// cycles should use the cycle-detection routines in `pm_graph` instead.
+/// Panics if a parent pointer is out of range or the input does not fit
+/// the [`Idx`] layer.  Debug builds also assert that the input is indeed a
+/// forest (no vertex is left unresolved after `⌈log₂ n⌉` rounds).  In
+/// release builds a cyclic input yields pointers that still sit on their
+/// cycle, with `dist` equal to the number of hops performed; callers that
+/// may hand in functional graphs with cycles should use the cycle-detection
+/// routines in `pm_graph` instead.
 pub fn pointer_jump_roots(parent: &[usize], tracker: &DepthTracker) -> PointerJumpResult {
-    let mut root = Vec::new();
-    let mut dist = Vec::new();
-    let rounds = pointer_jump_roots_into(
-        parent,
+    let n = parent.len();
+    assert!(n <= Idx::MAX_INDEX + 1, "input exceeds the u32 index layer");
+    assert!(
+        parent.iter().all(|&p| p < n.max(1)),
+        "parent pointer out of range"
+    );
+    let parent_idx: Vec<Idx> = parent.iter().map(|&p| Idx::new(p)).collect();
+    let (mut root, mut dist) = (Vec::new(), Vec::new());
+    let rounds = pointer_jump_roots_into_idx(
+        &parent_idx,
         &mut root,
         &mut dist,
         &mut Vec::new(),
         &mut Vec::new(),
         tracker,
     );
-    PointerJumpResult { root, dist, rounds }
+    let root: Vec<usize> = root.iter().map(|r| r.get()).collect();
+    debug_assert!(
+        root.iter().all(|&r| parent[r] == r) || has_cycle(parent),
+        "pointer jumping did not converge on an acyclic input"
+    );
+    PointerJumpResult {
+        root,
+        dist: dist.iter().map(|&d| u64::from(d)).collect(),
+        rounds,
+    }
 }
 
-/// Allocation-free core of [`pointer_jump_roots`]: writes the roots into
-/// `root` and the hop counts into `dist`, double-buffering through the two
-/// scratch vectors, and returns the number of doubling rounds.  All four
+/// Allocation-free pointer doubling over 32-bit pointers: writes the roots
+/// into `root` and the hop counts into `dist`, double-buffering through the
+/// two scratch vectors, and returns the number of doubling rounds.  All four
 /// buffers reuse their capacity, so a caller that holds them across calls
 /// (one checkout from a [`crate::Workspace`] outside a peeling loop, say)
 /// pays no per-round *or* per-call heap allocation.
-pub fn pointer_jump_roots_into(
-    parent: &[usize],
-    root: &mut Vec<usize>,
-    dist: &mut Vec<u64>,
-    ptr_scratch: &mut Vec<usize>,
-    dist_scratch: &mut Vec<u64>,
+///
+/// Hop counts are `u32`: every distance is bounded by the vertex count,
+/// which the instance-size funnel keeps below `u32::MAX`.  Parent pointers
+/// must be in range (debug-asserted; [`pointer_jump_roots`] checks them in
+/// every build).
+pub fn pointer_jump_roots_into_idx(
+    parent: &[Idx],
+    root: &mut Vec<Idx>,
+    dist: &mut Vec<u32>,
+    ptr_scratch: &mut Vec<Idx>,
+    dist_scratch: &mut Vec<u32>,
     tracker: &DepthTracker,
 ) -> u32 {
     let n = parent.len();
-    // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
-    let pd = crate::tune::prefetch_dist();
-    assert!(
-        parent.iter().all(|&p| p < n.max(1)),
+    debug_assert!(
+        parent.iter().all(|&p| p.get() < n.max(1)),
         "parent pointer out of range"
     );
     root.clear();
     root.extend_from_slice(parent);
     dist.clear();
-    dist.extend(parent.iter().enumerate().map(|(v, &p)| u64::from(p != v)));
+    dist.extend(
+        parent
+            .iter()
+            .enumerate()
+            .map(|(v, &p)| u32::from(p.get() != v)),
+    );
     // The scratches are fully overwritten every doubling round before any
     // read, so only their length matters — skip the O(n) refill when a
     // warm buffer already has it (saves two dense memsets per call, which
     // a peeling loop pays once per round), and allocate cold ones zeroed
     // (calloc fast path, no explicit memset).
     if ptr_scratch.capacity() < n {
-        *ptr_scratch = vec![0; n];
+        *ptr_scratch = vec![Idx::ZERO; n];
     } else if ptr_scratch.len() != n {
         ptr_scratch.clear();
-        ptr_scratch.resize(n, 0);
+        ptr_scratch.resize(n, Idx::ZERO);
     }
     if dist_scratch.capacity() < n {
         *dist_scratch = vec![0; n];
@@ -117,13 +144,6 @@ pub fn pointer_jump_roots_into(
                 .zip(dist_scratch.par_iter_mut())
                 .enumerate()
                 .for_each(|(v, (np, nd))| {
-                    // The target of the gather a few iterations ahead is one
-                    // cheap sequential read away — hint it into cache while
-                    // this iteration's random load is in flight.
-                    if let Some(&pa) = root.get(v + pd) {
-                        prefetch_read(root, pa);
-                        prefetch_read(dist, pa);
-                    }
                     (*np, *nd) = jump_one(v, root, dist);
                     if *np != root[v] {
                         changed.store(true, std::sync::atomic::Ordering::Relaxed);
@@ -137,10 +157,6 @@ pub fn pointer_jump_roots_into(
                 .zip(dist_scratch.iter_mut())
                 .enumerate()
             {
-                if let Some(&pa) = root.get(v + pd) {
-                    prefetch_read(root, pa);
-                    prefetch_read(dist, pa);
-                }
                 (*np, *nd) = jump_one(v, root, dist);
                 changed |= *np != root[v];
             }
@@ -152,128 +168,15 @@ pub fn pointer_jump_roots_into(
             break;
         }
     }
-
-    debug_assert!(
-        root.iter().all(|&p| parent[p] == p) || has_cycle(parent),
-        "pointer jumping did not converge on an acyclic input"
-    );
     rounds
-}
-
-/// The [`Idx`]-typed twin of [`pointer_jump_roots_into`], the form the
-/// narrowed hot path uses: pointers are 4-byte `Idx` and hop counts are
-/// 4-byte `u32` (every distance is bounded by the vertex count, which the
-/// instance-size funnel keeps below `u32::MAX`), so each doubling round
-/// moves half the bytes of the `usize` kernel.  Semantics, convergence
-/// detection and round accounting are identical — on the same input the two
-/// kernels report the same rounds and (numerically) the same roots and
-/// distances.
-pub fn pointer_jump_roots_into_idx(
-    parent: &[Idx],
-    root: &mut Vec<Idx>,
-    dist: &mut Vec<u32>,
-    ptr_scratch: &mut Vec<Idx>,
-    dist_scratch: &mut Vec<u32>,
-    tracker: &DepthTracker,
-) -> u32 {
-    let n = parent.len();
-    // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
-    let pd = crate::tune::prefetch_dist();
-    debug_assert!(
-        parent.iter().all(|&p| p.get() < n.max(1)),
-        "parent pointer out of range"
-    );
-    root.clear();
-    root.extend_from_slice(parent);
-    dist.clear();
-    dist.extend(
-        parent
-            .iter()
-            .enumerate()
-            .map(|(v, &p)| u32::from(p.get() != v)),
-    );
-    // Same warm-buffer policy as the usize kernel: the scratches are fully
-    // overwritten each round before any read, so only their length matters.
-    if ptr_scratch.capacity() < n {
-        *ptr_scratch = vec![Idx::ZERO; n];
-    } else if ptr_scratch.len() != n {
-        ptr_scratch.clear();
-        ptr_scratch.resize(n, Idx::ZERO);
-    }
-    if dist_scratch.capacity() < n {
-        *dist_scratch = vec![0; n];
-    } else if dist_scratch.len() != n {
-        dist_scratch.clear();
-        dist_scratch.resize(n, 0);
-    }
-
-    let max_rounds = if n <= 1 {
-        0
-    } else {
-        usize::BITS - (n - 1).leading_zeros()
-    };
-    let mut rounds = 0u32;
-    for _ in 0..max_rounds {
-        rounds += 1;
-        tracker.round();
-        tracker.work(n as u64);
-        let changed = if n >= SEQUENTIAL_CUTOFF {
-            let changed = std::sync::atomic::AtomicBool::new(false);
-            ptr_scratch
-                .par_iter_mut()
-                .zip(dist_scratch.par_iter_mut())
-                .enumerate()
-                .for_each(|(v, (np, nd))| {
-                    // Same software pipelining as the usize kernel: the
-                    // lookahead target is a cheap sequential read, the hint
-                    // overlaps the random gather's memory round-trip.
-                    if let Some(&pa) = root.get(v + pd) {
-                        prefetch_read(root, pa.get());
-                        prefetch_read(dist, pa.get());
-                    }
-                    (*np, *nd) = jump_one_idx(v, root, dist);
-                    if *np != root[v] {
-                        changed.store(true, std::sync::atomic::Ordering::Relaxed);
-                    }
-                });
-            changed.load(std::sync::atomic::Ordering::Relaxed)
-        } else {
-            let mut changed = false;
-            for (v, (np, nd)) in ptr_scratch
-                .iter_mut()
-                .zip(dist_scratch.iter_mut())
-                .enumerate()
-            {
-                if let Some(&pa) = root.get(v + pd) {
-                    prefetch_read(root, pa.get());
-                    prefetch_read(dist, pa.get());
-                }
-                (*np, *nd) = jump_one_idx(v, root, dist);
-                changed |= *np != root[v];
-            }
-            changed
-        };
-        std::mem::swap(root, ptr_scratch);
-        std::mem::swap(dist, dist_scratch);
-        if !changed {
-            break;
-        }
-    }
-    rounds
-}
-
-#[inline(always)]
-fn jump_one_idx(v: usize, ptr: &[Idx], dist: &[u32]) -> (Idx, u32) {
-    let p = ptr[v];
-    (ptr[p], dist[v] + dist[p])
 }
 
 /// One synchronous pointer-doubling step for vertex `v`:
 /// `ptr'[v] = ptr[ptr[v]]`, `dist'[v] = dist[v] + dist[ptr[v]]`.
 /// When `ptr[v]` is already a root its `dist` is 0, so the update is a no-op
 /// on the distance, which keeps the value exact at convergence.
-#[inline]
-fn jump_one(v: usize, ptr: &[usize], dist: &[u64]) -> (usize, u64) {
+#[inline(always)]
+fn jump_one(v: usize, ptr: &[Idx], dist: &[u32]) -> (Idx, u32) {
     let p = ptr[v];
     (ptr[p], dist[v] + dist[p])
 }
@@ -292,29 +195,27 @@ fn jump_one(v: usize, ptr: &[usize], dist: &[u64]) -> (usize, u64) {
 ///
 /// `ptr` is consumed as working state (its final contents are the
 /// `2^rounds`-fold composition); initial labels are taken from `label`.
-pub fn min_label_cycles(
-    label: &mut Vec<usize>,
-    ptr: &mut Vec<usize>,
-    label_scratch: &mut Vec<usize>,
-    ptr_scratch: &mut Vec<usize>,
+pub fn min_label_cycles_idx(
+    label: &mut Vec<Idx>,
+    ptr: &mut Vec<Idx>,
+    label_scratch: &mut Vec<Idx>,
+    ptr_scratch: &mut Vec<Idx>,
     tracker: &DepthTracker,
 ) {
     let n = label.len();
-    // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
-    let pd = crate::tune::prefetch_dist();
     assert_eq!(ptr.len(), n, "label/pointer length mismatch");
     if n <= 1 {
         return;
     }
     // The scratches are fully overwritten each round before any read, so
-    // only their length matters (same policy as `pointer_jump_roots_into`).
+    // only their length matters (same policy as the root-finding kernel).
     if label_scratch.len() != n {
         label_scratch.clear();
-        label_scratch.resize(n, 0);
+        label_scratch.resize(n, Idx::ZERO);
     }
     if ptr_scratch.len() != n {
         ptr_scratch.clear();
-        ptr_scratch.resize(n, 0);
+        ptr_scratch.resize(n, Idx::ZERO);
     }
     let rounds = usize::BITS - (n - 1).leading_zeros();
     for _ in 0..rounds {
@@ -329,12 +230,6 @@ pub fn min_label_cycles(
                 .zip(ptr_scratch.par_iter_mut())
                 .enumerate()
                 .for_each(|(a, (nl, np))| {
-                    // Lookahead prefetch of the doubling gather, as in
-                    // `pointer_jump_roots_into`.
-                    if let Some(&pa) = ptr.get(a + pd) {
-                        prefetch_read(label, pa);
-                        prefetch_read(ptr, pa);
-                    }
                     *nl = label[a].min(label[ptr[a]]);
                     *np = ptr[ptr[a]];
                     if *nl != label[a] {
@@ -349,83 +244,6 @@ pub fn min_label_cycles(
                 .zip(ptr_scratch.iter_mut())
                 .enumerate()
             {
-                if let Some(&pa) = ptr.get(a + pd) {
-                    prefetch_read(label, pa);
-                    prefetch_read(ptr, pa);
-                }
-                *nl = label[a].min(label[ptr[a]]);
-                *np = ptr[ptr[a]];
-                changed |= *nl != label[a];
-            }
-            changed
-        };
-        std::mem::swap(label, label_scratch);
-        std::mem::swap(ptr, ptr_scratch);
-        if !changed {
-            break;
-        }
-    }
-}
-
-/// The [`Idx`]-typed twin of [`min_label_cycles`], used by the narrowed
-/// even-cycle finish of Algorithm 2: labels and pointers are 4-byte `Idx`,
-/// halving the bytes each doubling round streams.  Same early exit, same
-/// round accounting, numerically identical labels.
-pub fn min_label_cycles_idx(
-    label: &mut Vec<Idx>,
-    ptr: &mut Vec<Idx>,
-    label_scratch: &mut Vec<Idx>,
-    ptr_scratch: &mut Vec<Idx>,
-    tracker: &DepthTracker,
-) {
-    let n = label.len();
-    // Gather-loop lookahead, hoisted once per call (PM_PREFETCH_DIST).
-    let pd = crate::tune::prefetch_dist();
-    assert_eq!(ptr.len(), n, "label/pointer length mismatch");
-    if n <= 1 {
-        return;
-    }
-    if label_scratch.len() != n {
-        label_scratch.clear();
-        label_scratch.resize(n, Idx::ZERO);
-    }
-    if ptr_scratch.len() != n {
-        ptr_scratch.clear();
-        ptr_scratch.resize(n, Idx::ZERO);
-    }
-    let rounds = usize::BITS - (n - 1).leading_zeros();
-    for _ in 0..rounds {
-        tracker.round();
-        tracker.work(n as u64);
-        let changed = if n >= SEQUENTIAL_CUTOFF {
-            let changed = std::sync::atomic::AtomicBool::new(false);
-            label_scratch
-                .par_iter_mut()
-                .zip(ptr_scratch.par_iter_mut())
-                .enumerate()
-                .for_each(|(a, (nl, np))| {
-                    if let Some(&pa) = ptr.get(a + pd) {
-                        prefetch_read(label, pa.get());
-                        prefetch_read(ptr, pa.get());
-                    }
-                    *nl = label[a].min(label[ptr[a]]);
-                    *np = ptr[ptr[a]];
-                    if *nl != label[a] {
-                        changed.store(true, std::sync::atomic::Ordering::Relaxed);
-                    }
-                });
-            changed.load(std::sync::atomic::Ordering::Relaxed)
-        } else {
-            let mut changed = false;
-            for (a, (nl, np)) in label_scratch
-                .iter_mut()
-                .zip(ptr_scratch.iter_mut())
-                .enumerate()
-            {
-                if let Some(&pa) = ptr.get(a + pd) {
-                    prefetch_read(label, pa.get());
-                    prefetch_read(ptr, pa.get());
-                }
                 *nl = label[a].min(label[ptr[a]]);
                 *np = ptr[ptr[a]];
                 changed |= *nl != label[a];
@@ -583,27 +401,29 @@ mod tests {
     #[test]
     fn into_variant_reuses_buffers_across_calls() {
         use rand::{RngExt, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
         let t = DepthTracker::new();
         let (mut root, mut dist) = (Vec::new(), Vec::new());
         let (mut s1, mut s2) = (Vec::new(), Vec::new());
-        for n in [5usize, 4000, 100, 4000] {
+        for n in [0usize, 1, 5, 4000, 100, 9001] {
             let parent: Vec<usize> = (0..n)
                 .map(|i| if i == 0 { 0 } else { rng.random_range(0..i) })
                 .collect();
-            let rounds =
-                pointer_jump_roots_into(&parent, &mut root, &mut dist, &mut s1, &mut s2, &t);
-            let want = pointer_jump_roots(&parent, &t);
-            assert_eq!(root, want.root, "n = {n}");
-            assert_eq!(dist, want.dist, "n = {n}");
-            assert_eq!(rounds, want.rounds, "n = {n}");
+            let parent_idx: Vec<Idx> = parent.iter().map(|&p| Idx::new(p)).collect();
+            pointer_jump_roots_into_idx(&parent_idx, &mut root, &mut dist, &mut s1, &mut s2, &t);
+            let (want_root, want_dist) = naive_root_dist(&parent);
+            assert_eq!(root, want_root, "n = {n}");
+            let dist_u64: Vec<u64> = dist.iter().map(|&d| u64::from(d)).collect();
+            assert_eq!(dist_u64, want_dist, "n = {n}");
         }
     }
 
     #[test]
     fn idx_kernel_matches_usize_kernel() {
+        // The `Idx` kernel against the `usize` entry point (which checks
+        // and converts its input) and against the naive walk.
         use rand::{RngExt, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
         let t = DepthTracker::new();
         let (mut root, mut dist) = (Vec::new(), Vec::new());
         let (mut s1, mut s2) = (Vec::new(), Vec::new());
@@ -626,32 +446,35 @@ mod tests {
             assert_eq!(root_usize, want.root, "n = {n}");
             let dist_u64: Vec<u64> = dist.iter().map(|&d| u64::from(d)).collect();
             assert_eq!(dist_u64, want.dist, "n = {n}");
+            let (naive_root, naive_dist) = naive_root_dist(&parent);
+            assert_eq!(root_usize, naive_root, "n = {n}");
+            assert_eq!(dist_u64, naive_dist, "n = {n}");
         }
     }
 
     #[test]
-    fn min_label_idx_matches_usize() {
+    fn min_label_idx_matches_naive_cycle_minimum() {
         use rand::{seq::SliceRandom, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         for n in [1usize, 2, 9, 4096] {
             // A random permutation: a disjoint union of cycles.
             let mut perm: Vec<usize> = (0..n).collect();
             perm.shuffle(&mut rng);
+            let want: Vec<usize> = (0..n)
+                .map(|v| {
+                    let (mut min, mut u) = (v, perm[v]);
+                    while u != v {
+                        min = min.min(u);
+                        u = perm[u];
+                    }
+                    min
+                })
+                .collect();
             let t = DepthTracker::new();
-            let mut label: Vec<usize> = (0..n).collect();
-            let mut ptr = perm.clone();
-            min_label_cycles(&mut label, &mut ptr, &mut Vec::new(), &mut Vec::new(), &t);
-            let mut label_i: Vec<Idx> = (0..n).map(Idx::new).collect();
-            let mut ptr_i: Vec<Idx> = perm.iter().map(|&p| Idx::new(p)).collect();
-            min_label_cycles_idx(
-                &mut label_i,
-                &mut ptr_i,
-                &mut Vec::new(),
-                &mut Vec::new(),
-                &t,
-            );
-            let label_i_usize: Vec<usize> = label_i.iter().map(|l| l.get()).collect();
-            assert_eq!(label_i_usize, label, "n = {n}");
+            let mut label: Vec<Idx> = (0..n).map(Idx::new).collect();
+            let mut ptr: Vec<Idx> = perm.iter().map(|&p| Idx::new(p)).collect();
+            min_label_cycles_idx(&mut label, &mut ptr, &mut Vec::new(), &mut Vec::new(), &t);
+            assert_eq!(label, want, "n = {n}");
         }
     }
 

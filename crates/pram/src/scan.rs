@@ -130,116 +130,13 @@ pub fn csr_offsets(counts: &[usize], tracker: &DepthTracker) -> Vec<usize> {
     offsets
 }
 
-/// Allocation-free variant of [`offsets_from_counts`]: writes the exclusive
-/// prefix sums into `out` (reusing its capacity) and returns the total.
-/// `chunk_scratch` holds the per-chunk totals of the blocked parallel path —
-/// hand both buffers out of a [`crate::Workspace`] and a warm call performs
-/// no heap allocation.
-pub fn offsets_from_counts_into(
-    counts: &[usize],
-    out: &mut Vec<usize>,
-    chunk_scratch: &mut Vec<usize>,
-    tracker: &DepthTracker,
-) -> usize {
-    scan_counts_into(counts, out, chunk_scratch, tracker, false)
-}
-
-/// Allocation-free variant of [`csr_offsets`]: writes the `counts.len() + 1`
-/// CSR row boundaries into `out` and returns the total.
-pub fn csr_offsets_into(
-    counts: &[usize],
-    out: &mut Vec<usize>,
-    chunk_scratch: &mut Vec<usize>,
-    tracker: &DepthTracker,
-) -> usize {
-    scan_counts_into(counts, out, chunk_scratch, tracker, true)
-}
-
-/// Shared body of the `_into` count scans.  `with_total_slot` appends the
-/// grand total as a final entry (the CSR boundary form).
-fn scan_counts_into(
-    counts: &[usize],
-    out: &mut Vec<usize>,
-    chunk_scratch: &mut Vec<usize>,
-    tracker: &DepthTracker,
-    with_total_slot: bool,
-) -> usize {
-    let len = counts.len();
-    tracker.work(len as u64);
-    if len < SEQUENTIAL_CUTOFF {
-        tracker.round();
-        out.clear();
-        out.reserve(len + usize::from(with_total_slot));
-        let mut acc = 0usize;
-        for &c in counts {
-            out.push(acc);
-            acc += c;
-        }
-        if with_total_slot {
-            out.push(acc);
-        }
-        return acc;
-    }
-
-    let chunk = crate::par_chunk_len_bytes(len, std::mem::size_of::<usize>());
-    let n_chunks = len.div_ceil(chunk);
-
-    // Round 1: per-chunk totals, written in place (no collect).
-    tracker.round();
-    chunk_scratch.clear();
-    chunk_scratch.resize(n_chunks, 0);
-    chunk_scratch
-        .par_iter_mut()
-        .enumerate()
-        .with_min_len(1)
-        .for_each(|(ci, t)| {
-            let s = ci * chunk;
-            let e = ((ci + 1) * chunk).min(len);
-            *t = counts[s..e].iter().sum();
-        });
-
-    // Sequential exclusive scan over the (few) chunk totals.
-    let mut acc = 0usize;
-    for t in chunk_scratch.iter_mut() {
-        let c = *t;
-        *t = acc;
-        acc += c;
-    }
-    let total = acc;
-
-    // Round 2: rescan each chunk seeded with its offset.
-    tracker.round();
-    let out_len = len + usize::from(with_total_slot);
-    if out.capacity() < out_len {
-        // Cold: a fresh zeroed buffer (calloc fast path) beats growing and
-        // memsetting the old one; every cell is overwritten below anyway.
-        *out = vec![0; out_len];
-    } else {
-        out.clear();
-        out.resize(out_len, 0);
-    }
-    out[..len]
-        .par_chunks_mut(chunk)
-        .zip(counts.par_chunks(chunk))
-        .zip(chunk_scratch.par_iter())
-        .for_each(|((o, c), &seed)| {
-            let mut acc = seed;
-            for (oi, &ci) in o.iter_mut().zip(c.iter()) {
-                *oi = acc;
-                acc += ci;
-            }
-        });
-    if with_total_slot {
-        out[len] = total;
-    }
-    total
-}
-
-/// The `u32`-native twin of [`csr_offsets_into`], for the narrowed data
-/// path: counts, offsets and the chunk scratch are all 4-byte, halving the
-/// bytes the two scan rounds stream.  The caller guarantees (via the
-/// instance-size funnel) that the grand total fits in `u32`; debug builds
-/// assert it.  Returns the total as `usize`.
+/// Allocation-free variant of [`csr_offsets`] on the narrowed data path:
+/// writes the `counts.len() + 1` CSR row boundaries into `out` (reusing its
+/// capacity) and returns the total as `usize`.  `chunk_scratch` holds the
+/// per-chunk totals of the blocked parallel path — hand both buffers out of
+/// a [`crate::Workspace`] and a warm call performs no heap allocation.
+/// Counts, offsets and the chunk scratch are all 4-byte; a grand total
+/// beyond `u32` panics.
 pub fn csr_offsets_into_u32(
     counts: &[u32],
     out: &mut Vec<u32>,
@@ -548,18 +445,18 @@ mod tests {
 
     #[test]
     fn into_variants_match_allocating_scans() {
+        // Shrinking and regrowing sizes: warm buffers must never leak stale
+        // offsets into a shorter or longer call.
         let t = DepthTracker::new();
         let mut out = Vec::new();
         let mut scratch = Vec::new();
-        for n in [0usize, 1, 5, 3000, 70_000] {
+        for n in [70_000usize, 5, 3000, 0, 1, 70_000] {
             let counts: Vec<usize> = (0..n).map(|i| (i * 31) % 11).collect();
-            let total = offsets_from_counts_into(&counts, &mut out, &mut scratch, &t);
-            let (want, want_total) = offsets_from_counts(&counts, &t);
-            assert_eq!(out, want, "n = {n}");
-            assert_eq!(total, want_total);
-            let total = csr_offsets_into(&counts, &mut out, &mut scratch, &t);
-            assert_eq!(out, csr_offsets(&counts, &t), "n = {n}");
-            assert_eq!(total, want_total);
+            let counts32: Vec<u32> = counts.iter().map(|&c| c as u32).collect();
+            let total = csr_offsets_into_u32(&counts32, &mut out, &mut scratch, &t);
+            let out_usize: Vec<usize> = out.iter().map(|&o| o as usize).collect();
+            assert_eq!(out_usize, csr_offsets(&counts, &t), "n = {n}");
+            assert_eq!(total, offsets_from_counts(&counts, &t).1, "n = {n}");
         }
     }
 

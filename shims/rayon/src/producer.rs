@@ -40,8 +40,9 @@ pub trait Producer: Sync {
     /// Number of positions this producer spans.
     fn p_len(&self) -> usize;
 
-    /// Whether `chunk(s, e)` yields exactly `e - s` items ([`Filter`] does
-    /// not).  Exact producers allow write-in-place collection.
+    /// Whether `chunk(s, e)` yields exactly `e - s` items
+    /// ([`FilterProducer`] does not).  Exact producers allow write-in-place
+    /// collection.
     fn exact(&self) -> bool {
         true
     }
