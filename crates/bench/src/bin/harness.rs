@@ -24,10 +24,11 @@
 //! `faults/chaos`) push the same request stream through the fault-tolerant
 //! [`Server`] and record its counters (served / rejected / shed /
 //! panics_recovered / degraded_responses) alongside the timings; see
-//! `server_trajectory`.  The incremental families
+//! `server_burst`.  The incremental families
 //! (`served/incremental/edit_churn`, `…/mixed_churn`, `…/server_churn`)
 //! replay churn streams against a warm [`DeltaSolver`] and report amortized
-//! per-delta milliseconds; see `incremental_trajectory`.
+//! per-delta milliseconds.  Every family is one entry of the `WORKLOADS`
+//! table, timed through the one `Bench` protocol.
 //!
 //! The harness binary installs a **counting global allocator**; the warm
 //! `served/` measurement runs a width-1 warm solve under it and hard-fails
@@ -104,17 +105,22 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL_ALLOCATOR: CountingAllocator = CountingAllocator;
 
-use pm_graph::cycle::{
-    cycle_vertices_via_cc, cycle_vertices_via_closure, cycle_vertices_via_rank, undirected_view,
-};
+use std::hint::black_box;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use pm_graph::cycle::{cycle_vertices_via_cc, cycle_vertices_via_closure, cycle_vertices_via_rank};
 use pm_instances::paper;
 use pm_matching::hopcroft_karp::hopcroft_karp;
-use pm_popular::algorithm1::popular_matching_run;
+use pm_popular::algorithm1::{popular_matching_nc, popular_matching_run};
 use pm_popular::delta::{DeltaMode, DeltaSolver};
 use pm_popular::instance::PrefInstance;
 use pm_popular::max_cardinality::maximum_cardinality_popular_matching_nc;
 use pm_popular::optimal::{fair_popular_matching, rank_maximal_popular_matching};
-use pm_popular::profile::Profile;
+use pm_popular::profile::{
+    enable_phase_timings, phase_timings, reset_phase_timings, Profile, SolvePhase,
+};
+use pm_popular::relabel::{Relabeled, RelabeledSolver};
 use pm_popular::sequential::popular_matching_sequential;
 use pm_popular::solver::PopularSolver;
 use pm_popular::switching::{ComponentKind, SwitchingGraph};
@@ -123,7 +129,7 @@ use pm_popular::verify::is_popular_characterization;
 use pm_popular::PopularError;
 use pm_pram::DepthTracker;
 use pm_serve::faults::Spec;
-use pm_serve::{DeltaRequest, Request, ServeError, Server, ServerConfig, SolveMode};
+use pm_serve::{DeltaRequest, Request, ServeError, Server, ServerConfig, SolveMode, StatsSnapshot};
 use pm_stable::next::{next_stable_matchings, NextStableOutcome};
 use pm_stable::rotations::exposed_rotations_sequential;
 
@@ -201,13 +207,17 @@ fn main() {
     let cli = parse_args(std::env::args().skip(1)).unwrap_or_else(|err| usage_exit(&err));
     let quick = cli.quick;
     if cli.profile {
-        profile_trajectory(quick);
+        print_profile(quick);
         return;
     }
     if cli.json {
-        json_trajectory(
+        let bench = Bench {
             quick,
-            &cli.threads,
+            threads: cli.threads,
+            reps: if quick { 2 } else { 3 },
+        };
+        write_trajectory(
+            &bench,
             &cli.json_out,
             cli.workloads.as_deref(),
             cli.assert_speedup,
@@ -438,8 +448,11 @@ fn e5_parallel_vs_sequential(quick: bool) {
         "E5b — feasibility under contention (master-list workload)",
         &["n", "popular matching exists", "parallel ms"],
     );
-    for &n in &sizes {
-        let inst = workloads::contended(n.min(64_000));
+    // Capped at 64,000 applicants; the cap must not repeat a row.
+    let mut contended_sizes: Vec<usize> = sizes.iter().map(|&n| n.min(64_000)).collect();
+    contended_sizes.dedup();
+    for &n in &contended_sizes {
+        let inst = workloads::contended(n);
         let (res, par_t) = time_best(reps, || {
             let tracker = DepthTracker::new();
             pm_popular::algorithm1::popular_matching_nc(&inst, &tracker)
@@ -530,7 +543,6 @@ fn e7_pseudoforest_cycles(quick: bool) {
     );
     for &n in &sizes {
         let fg = workloads::pseudoforest(n);
-        let _ug = undirected_view(&fg);
         let tracker = DepthTracker::new();
         let reference = fg.on_cycle_sequential();
 
@@ -702,15 +714,33 @@ fn e10_next_stable(quick: bool) {
 struct JsonResult {
     workload: &'static str,
     n: usize,
-    /// Best-of-N wall clock per executor width, in `--threads` order (the
-    /// first entry is the 1-thread reference).  For `served/` workloads the
-    /// values are amortized per-request milliseconds.
-    wall_ms_by_threads: Vec<(usize, f64)>,
+    row: Row,
+}
+
+/// What a workload's run measures at one size.
+struct Row {
+    /// Best-of-reps wall clock per executor width, in `--threads` order (the
+    /// first entry is the 1-thread reference), in milliseconds per operation
+    /// of the lap (request, delta, batch member or single call).
+    wall: Vec<(usize, f64)>,
     /// Realised PRAM (depth, work) of the timed call, where tracked.
     pram: Option<(u64, u64)>,
     /// Extra integer fields rendered verbatim into the JSON entry
     /// (`requests`, `batch`, `allocs_per_solve`, …).
     extra: Vec<(&'static str, u64)>,
+}
+
+impl Row {
+    /// The 1-thread wall clock — the trajectory number comparable with the
+    /// pre-executor history of this file.
+    fn wall_ms_1(&self) -> f64 {
+        self.wall[0].1
+    }
+
+    /// Speedup of the widest swept configuration over one thread.
+    fn speedup_vs_1(&self) -> f64 {
+        self.wall_ms_1() / self.wall.last().expect("non-empty sweep").1
+    }
 }
 
 /// `*`-wildcard matching for `--workloads` (iterative backtracking; `*`
@@ -737,176 +767,257 @@ fn glob_match(pattern: &str, text: &str) -> bool {
     p[pi..].iter().all(|&c| c == b'*')
 }
 
-impl JsonResult {
-    /// The 1-thread wall clock — the trajectory number comparable with the
-    /// pre-executor history of this file.
-    fn wall_ms_1(&self) -> f64 {
-        self.wall_ms_by_threads[0].1
-    }
-
-    /// Speedup of the widest swept configuration over one thread.
-    fn speedup_vs_1(&self) -> f64 {
-        self.wall_ms_1() / self.wall_ms_by_threads.last().expect("non-empty sweep").1
-    }
-}
-
-/// Runs `f` under each executor width in `threads` (best of `reps` each)
-/// and returns the per-width wall clocks in milliseconds.
-fn sweep_threads<R>(threads: &[usize], reps: usize, mut f: impl FnMut() -> R) -> Vec<(usize, f64)> {
-    threads
-        .iter()
-        .map(|&t| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(t)
-                .build()
-                .expect("shim pools always build");
-            let (_, d) = pool.install(|| time_best(reps, &mut f));
-            (t, d.as_secs_f64() * 1e3)
-        })
-        .collect()
-}
-
-/// Times the production pipeline workloads and writes `BENCH_popular.json`.
-///
-/// Wall clock is the `time_best`-of-3 protocol the Markdown tables use, run
-/// once per entry of the `--threads` sweep; depth/work are read off a fresh
-/// tracker for the same call (they are executor-independent, which the
-/// determinism tests assert).  The sizes go up to 10^6 applicants in the
-/// full sweep (10^5 under `--quick`, which is what the CI bench-smoke job
-/// runs).  `filter` is the `--workloads` glob; unselected workload families
-/// are skipped entirely (their instances are never even generated).
-fn json_trajectory(
+/// The timing protocol every trajectory row shares: the best of `reps` laps
+/// (2 under `--quick`, 3 in the full sweep), divided by the operations one
+/// lap performs.  Each lap returns its result to [`time_best`], which drops
+/// it outside the timed region, so a lap never times a free.
+struct Bench {
     quick: bool,
-    threads: &[usize],
+    threads: Vec<usize>,
+    reps: usize,
+}
+
+impl Bench {
+    /// Best of `reps` laps at each `--threads` width, in ms per operation.
+    fn sweep<R>(&self, per_lap: usize, mut lap: impl FnMut() -> R) -> Vec<(usize, f64)> {
+        self.threads
+            .iter()
+            .map(|&t| (t, pool(t).install(|| self.best_ms(per_lap, &mut lap))))
+            .collect()
+    }
+
+    /// Best of `reps` laps on the calling thread, in ms per operation: for
+    /// server-routed families (the server owns its worker threads) and
+    /// ingest (sequential), where a width sweep would record noise.
+    fn width1<R>(&self, per_lap: usize, lap: impl FnMut() -> R) -> Vec<(usize, f64)> {
+        vec![(1, self.best_ms(per_lap, lap))]
+    }
+
+    fn best_ms<R>(&self, per_lap: usize, lap: impl FnMut() -> R) -> f64 {
+        let (_, best) = time_best(self.reps, lap);
+        best.as_secs_f64() * 1e3 / per_lap as f64
+    }
+
+    /// Solves per timed lap of the warm and cold request streams.
+    fn requests(&self, n: usize) -> usize {
+        if n >= 1_000_000 {
+            2
+        } else if self.quick {
+            4
+        } else {
+            8
+        }
+    }
+}
+
+/// An executor pinned to `width` threads.
+fn pool(width: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(width)
+        .build()
+        .expect("shim pools always build")
+}
+
+/// A (`--quick`, full sweep) pair of size lists.
+type Sizes = (&'static [usize], &'static [usize]);
+const SOLVE_SIZES: Sizes = (&[10_000, 100_000], &[10_000, 100_000, 1_000_000]);
+const DEEP_SIZES: Sizes = (&[100_000], &[100_000, 1_000_000]);
+const SERVER_SIZES: Sizes = (&[10_000], &[10_000, 100_000]);
+const BATCH_SIZES: Sizes = (&[10_000], &[100_000]);
+
+/// A workload's run: sets up one size, runs the family's gates and times it.
+/// `None` skips the family in this build.
+type Run = fn(&Bench, usize) -> Option<Row>;
+
+/// Every row family, in output order: (name, sizes, run).  The pipeline
+/// rows carry the realised PRAM (depth, work); `layout/` A/Bs the locality
+/// layout pass (`pm_instances::layout`, DESIGN.md §12) on the
+/// clustered-scattered workload — community structure in the preferences,
+/// post ids scattered across the whole id space; `served/` times warm,
+/// cold, batched, incremental and server-routed serving; `cold/` the three
+/// ways a `PrefInstance` comes into existence.
+const WORKLOADS: [(&str, Sizes, Run); 20] = [
+    ("popular_matching_run/uniform", SOLVE_SIZES, |b, n| {
+        let inst = workloads::solvable_uniform(n);
+        Some(tracked_row(b, &inst, |tr| {
+            popular_matching_run(&inst, tr).expect("solvable workload")
+        }))
+    }),
+    ("max_cardinality/paired", DEEP_SIZES, |b, n| {
+        let inst = workloads::paired_pressure(n / 2);
+        Some(tracked_row(b, &inst, |tr| {
+            maximum_cardinality_popular_matching_nc(&inst, tr).expect("solvable")
+        }))
+    }),
+    ("switching_graph/uniform", DEEP_SIZES, |b, n| {
+        Some(switching_graph_row(b, &workloads::solvable_uniform(n)))
+    }),
+    ("ties_rank1/bipartite", DEEP_SIZES, ties_rank1),
+    ("layout/switching_graph/off", DEEP_SIZES, |b, n| {
+        Some(switching_graph_row(b, &workloads::clustered_scattered(n)))
+    }),
+    ("layout/switching_graph/on", DEEP_SIZES, |b, n| {
+        let (twin, layout_pass_us) = layout_twin(n);
+        let mut row = switching_graph_row(b, twin.instance());
+        row.extra.push(("layout_pass_us", layout_pass_us));
+        Some(row)
+    }),
+    ("layout/warm_solve/off", DEEP_SIZES, |b, n| {
+        let inst = workloads::clustered_scattered(n);
+        let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
+        solver.solve(&inst).expect("solvable workload");
+        let mut row = request_row(b, n, None, || {
+            black_box(solver.solve(&inst).expect("solvable").num_applicants());
+        });
+        row.extra
+            .push(("bytes_per_entity", instance_bytes_per_entity(&inst)));
+        Some(row)
+    }),
+    ("layout/warm_solve/on", DEEP_SIZES, |b, n| {
+        // Warm solves through the layout, answers in original ids.  The
+        // map-back buffer is pooled, so they run the zero-allocation gate.
+        let (twin, layout_pass_us) = layout_twin(n);
+        let inst = twin.instance();
+        let mut rs = RelabeledSolver::new(inst.num_applicants(), inst.num_posts());
+        let mut row = request_row(b, n, Some("warm layout solve (RelabeledSolver)"), || {
+            black_box(rs.solve(&twin).expect("solvable").num_applicants());
+        });
+        row.extra.push(("layout_pass_us", layout_pass_us));
+        row.extra
+            .push(("bytes_per_entity", instance_bytes_per_entity(inst)));
+        Some(row)
+    }),
+    ("served/warm_solve/uniform", SOLVE_SIZES, |b, n| {
+        let inst = workloads::solvable_uniform(n);
+        let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
+        let mut row = request_row(b, n, Some("warm PopularSolver::solve"), || {
+            black_box(solver.solve(&inst).expect("solvable").num_applicants());
+        });
+        row.extra
+            .push(("bytes_per_entity", instance_bytes_per_entity(&inst)));
+        Some(row)
+    }),
+    ("served/cold_solve/uniform", SOLVE_SIZES, |b, n| {
+        let inst = workloads::solvable_uniform(n);
+        let mut row = request_row(b, n, None, || {
+            let tr = DepthTracker::new();
+            black_box(
+                popular_matching_nc(&inst, &tr)
+                    .expect("solvable")
+                    .num_applicants(),
+            );
+        });
+        row.extra
+            .push(("bytes_per_entity", instance_bytes_per_entity(&inst)));
+        Some(row)
+    }),
+    ("served/batch/uniform", BATCH_SIZES, served_batch),
+    ("served/incremental/edit_churn", SOLVE_SIZES, edit_churn),
+    ("served/incremental/mixed_churn", SERVER_SIZES, mixed_churn),
+    (
+        "served/incremental/server_churn",
+        SERVER_SIZES,
+        server_churn,
+    ),
+    ("served/server_warm/uniform", SERVER_SIZES, |b, n| {
+        let config = ServerConfig {
+            workers: 1,
+            faults: Spec::none(),
+            ..ServerConfig::default()
+        };
+        let (row, s) = server_burst(b, n, config, false);
+        // Zero-rejected gate: a burst that fits the queue must never be
+        // rejected or shed at nominal, injection-free load.
+        if s.rejected != 0 || s.shed != 0 {
+            gate_failed(&format!(
+                "ZERO-REJECTED GATE FAILED: served/server_warm rejected {} and shed {} \
+                 requests at nominal load, n = {n} (expected 0 / 0)",
+                s.rejected, s.shed
+            ));
+        }
+        eprintln!(
+            "zero-rejected gate passed at n = {n} ({} requests served)",
+            s.served
+        );
+        Some(row)
+    }),
+    ("served/degraded/uniform", SERVER_SIZES, |b, n| {
+        let config = ServerConfig {
+            workers: 1,
+            backoff_max: Duration::from_secs(3600),
+            faults: Spec::none(),
+            ..ServerConfig::default()
+        };
+        Some(server_burst(b, n, config, true).0)
+    }),
+    ("faults/chaos/uniform", SERVER_SIZES, |b, n| {
+        // Injection only when the `faults` feature is compiled in, so the
+        // committed trajectory stays injection-free.
+        if !Spec::compiled_in() {
+            eprintln!(
+                "faults/chaos/uniform skipped: fail points compiled out \
+                 (rebuild with `--features faults` to measure under injection)"
+            );
+            return None;
+        }
+        let faults = match std::env::var(pm_serve::faults::ENV_VAR) {
+            Ok(s) if !s.trim().is_empty() => Spec::from_env(),
+            _ => Spec::parse("panic:0.05,delay:1ms").expect("built-in spec parses"),
+        };
+        let config = ServerConfig {
+            workers: 2,
+            faults,
+            ..ServerConfig::default()
+        };
+        Some(server_burst(b, n, config, false).0)
+    }),
+    ("cold/nested_build/uniform", DEEP_SIZES, |b, n| {
+        // Includes the per-applicant vector materialisation the nested API
+        // forces on every producer, modelled by cloning the lists per lap.
+        let inst = workloads::solvable_uniform(n);
+        let lists: Vec<Vec<usize>> = (0..inst.num_applicants())
+            .map(|a| inst.strict_list(a).expect("uniform workload is strict"))
+            .collect();
+        let num_posts = inst.num_posts();
+        Some(ingest_row(b, &inst, || {
+            PrefInstance::new_strict(num_posts, lists.clone()).expect("valid workload")
+        }))
+    }),
+    ("cold/text_parse/uniform", DEEP_SIZES, |b, n| {
+        let inst = workloads::solvable_uniform(n);
+        let text = pm_instances::io::text(&inst).to_string();
+        Some(ingest_row(b, &inst, || {
+            pm_instances::io::parse(&text).expect("rendered text parses")
+        }))
+    }),
+    ("cold/snapshot_load/uniform", DEEP_SIZES, snapshot_load),
+];
+
+/// Times the `--workloads`-selected rows of [`WORKLOADS`] and writes
+/// `BENCH_popular.json`.
+///
+/// Depth/work are read off a fresh tracker for an untimed call (they are
+/// executor-independent, which the determinism tests assert).  An
+/// unselected family never builds its instances.
+fn write_trajectory(
+    bench: &Bench,
     out_path: &str,
     filter: Option<&str>,
     speedup_floor: Option<f64>,
 ) {
-    let reps = if quick { 2 } else { 3 };
-    let selected = |name: &str| filter.is_none_or(|pat| glob_match(pat, name));
     if let Some(pat) = filter {
         eprintln!("workload filter: {pat} (unselected workloads are dropped from the output file)");
     }
     let mut results: Vec<JsonResult> = Vec::new();
-
-    let popular_sizes: &[usize] = if quick {
-        &[10_000, 100_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-    if selected("popular_matching_run/uniform") {
-        for &n in popular_sizes {
-            let inst = workloads::solvable_uniform(n);
-            let tracker = DepthTracker::new();
-            let _ = popular_matching_run(&inst, &tracker).expect("solvable workload");
-            let stats = tracker.stats();
-            let wall_ms_by_threads = sweep_threads(threads, reps, || {
-                let tr = DepthTracker::new();
-                popular_matching_run(&inst, &tr).unwrap()
-            });
-            results.push(JsonResult {
-                workload: "popular_matching_run/uniform",
-                n,
-                wall_ms_by_threads,
-                pram: Some((stats.depth, stats.work)),
-                extra: vec![("bytes_per_entity", instance_bytes_per_entity(&inst))],
-            });
+    for &(workload, (quick_sizes, full_sizes), run) in &WORKLOADS {
+        if filter.is_some_and(|pat| !glob_match(pat, workload)) {
+            continue;
+        }
+        for &n in if bench.quick { quick_sizes } else { full_sizes } {
+            let Some(row) = run(bench, n) else { break };
+            results.push(JsonResult { workload, n, row });
         }
     }
-
-    let deep_sizes: &[usize] = if quick {
-        &[100_000]
-    } else {
-        &[100_000, 1_000_000]
-    };
-    if selected("max_cardinality/paired") {
-        for &n in deep_sizes {
-            let inst = workloads::paired_pressure(n / 2);
-            let tracker = DepthTracker::new();
-            let _ = maximum_cardinality_popular_matching_nc(&inst, &tracker).expect("solvable");
-            let stats = tracker.stats();
-            let wall_ms_by_threads = sweep_threads(threads, reps, || {
-                let tr = DepthTracker::new();
-                maximum_cardinality_popular_matching_nc(&inst, &tr).unwrap()
-            });
-            results.push(JsonResult {
-                workload: "max_cardinality/paired",
-                n,
-                wall_ms_by_threads,
-                pram: Some((stats.depth, stats.work)),
-                extra: vec![("bytes_per_entity", instance_bytes_per_entity(&inst))],
-            });
-        }
-    }
-
-    if selected("switching_graph/uniform") {
-        for &n in deep_sizes {
-            let inst = workloads::solvable_uniform(n);
-            let tracker = DepthTracker::new();
-            let run = popular_matching_run(&inst, &tracker).expect("solvable workload");
-            let sg_tracker = DepthTracker::new();
-            {
-                let sg = SwitchingGraph::build(&run.reduced, &run.matching, &sg_tracker);
-                let _ = sg.components(&sg_tracker);
-                let _ = sg.margins_to_sink(&sg_tracker);
-            }
-            let stats = sg_tracker.stats();
-            let wall_ms_by_threads = sweep_threads(threads, reps, || {
-                let tr = DepthTracker::new();
-                let sg = SwitchingGraph::build(&run.reduced, &run.matching, &tr);
-                let comps = sg.components(&tr);
-                let margins = sg.margins_to_sink(&tr);
-                std::hint::black_box((comps.len(), margins.len()))
-            });
-            results.push(JsonResult {
-                workload: "switching_graph/uniform",
-                n,
-                wall_ms_by_threads,
-                pram: Some((stats.depth, stats.work)),
-                extra: vec![("bytes_per_entity", instance_bytes_per_entity(&inst))],
-            });
-        }
-    }
-
-    if selected("ties_rank1/bipartite") {
-        for &n in deep_sizes {
-            let g = workloads::bipartite(n);
-            // Depth/work of the ties path — the one workload that
-            // historically lacked the fields.  The timed closure below runs
-            // two stages: the rank-1 instance construction (one O(|E|)
-            // validation round) and the Hopcroft-Karp oracle (charged by
-            // `solve_ties` on the solver's internal tracker); the recorded
-            // stats charge both so they describe exactly what is measured.
-            let tracker = DepthTracker::new();
-            tracker.round();
-            tracker.work(g.num_edges() as u64);
-            let mut stats_solver = PopularSolver::new(0, 0);
-            let _ = stats_solver.solve_ties(&g).expect("valid ties graph");
-            tracker.absorb(stats_solver.stats());
-            let stats = tracker.stats();
-            let wall_ms_by_threads = sweep_threads(threads, reps, || {
-                let inst = pm_popular::ties::rank1_instance(&g).unwrap();
-                std::hint::black_box(inst.num_edges());
-                popular_matching_rank1(&g).size()
-            });
-            results.push(JsonResult {
-                workload: "ties_rank1/bipartite",
-                n,
-                wall_ms_by_threads,
-                pram: Some((stats.depth, stats.work)),
-                extra: vec![(
-                    "bytes_per_entity",
-                    bytes_per_entity(g.heap_bytes(), g.n_left() + g.n_right()),
-                )],
-            });
-        }
-    }
-
-    layout_trajectory(quick, threads, reps, &selected, &mut results);
-    served_trajectory(quick, threads, reps, &selected, &mut results);
-    incremental_trajectory(quick, threads, reps, &selected, &mut results);
-    server_trajectory(quick, reps, &selected, &mut results);
-    cold_trajectory(quick, reps, &selected, &mut results);
     if results.is_empty() {
         usage_exit("--workloads selects no workload that runs in this build");
     }
@@ -914,13 +1025,526 @@ fn json_trajectory(
     let baseline = std::fs::read_to_string(out_path)
         .ok()
         .and_then(|old| extract_object(&old, "baseline"));
-    let json = render_json(quick, threads, &results, baseline.as_deref());
+    let json = render_json(bench, &results, baseline.as_deref());
     std::fs::write(out_path, &json).expect("write BENCH json");
     eprintln!("wrote {out_path}");
     println!("{json}");
     if let Some(floor) = speedup_floor {
-        assert_speedup_floor(&results, threads, floor);
+        assert_speedup_floor(&results, &bench.threads, floor);
     }
+}
+
+/// Prints a failed gate's message and exits 1 (the CI regression gates).
+fn gate_failed(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
+
+/// The zero-allocation gate: at width 1, repeats `lap` until one lap
+/// allocates nothing (pooled buffers settle their capacity within a few
+/// laps; 10 is far beyond it), then three more laps must not touch the
+/// allocator at all.  Returns their allocation count, which is 0, or the
+/// failure message.
+fn zero_alloc_gate(label: &str, n: usize, mut lap: impl FnMut()) -> Result<u64, String> {
+    let pool1 = pool(1);
+    let mut warmups = 0u32;
+    loop {
+        let before = allocation_count();
+        pool1.install(&mut lap);
+        warmups += 1;
+        if allocation_count() == before || warmups >= 10 {
+            break;
+        }
+    }
+    let before = allocation_count();
+    pool1.install(|| (0..3).for_each(|_| lap()));
+    let allocs = allocation_count() - before;
+    if allocs != 0 {
+        return Err(format!(
+            "ZERO-ALLOC GATE FAILED: {label} performed {allocs} allocations over 3 laps \
+             at n = {n} after {warmups} warm-ups (expected 0)"
+        ));
+    }
+    eprintln!(
+        "zero-alloc gate passed at n = {n} for {label} \
+         (0 allocations across 3 warm laps, {warmups} warm-ups to steady state)"
+    );
+    Ok(allocs)
+}
+
+/// A pipeline row: `call` once on a fresh tracker for the realised PRAM
+/// (depth, work), then swept with a fresh tracker per lap.
+fn tracked_row<R>(bench: &Bench, inst: &PrefInstance, call: impl Fn(&DepthTracker) -> R) -> Row {
+    let tracker = DepthTracker::new();
+    call(&tracker);
+    let stats = tracker.stats();
+    Row {
+        wall: bench.sweep(1, || call(&DepthTracker::new())),
+        pram: Some((stats.depth, stats.work)),
+        extra: vec![("bytes_per_entity", instance_bytes_per_entity(inst))],
+    }
+}
+
+/// Switching-graph build + components + margins over a popular matching of
+/// `inst` (`switching_graph/uniform` and the `layout/switching_graph/` A/B).
+fn switching_graph_row(bench: &Bench, inst: &PrefInstance) -> Row {
+    let run = popular_matching_run(inst, &DepthTracker::new()).expect("solvable workload");
+    tracked_row(bench, inst, |tr| {
+        let sg = SwitchingGraph::build(&run.reduced, &run.matching, tr);
+        black_box((sg.components(tr).len(), sg.margins_to_sink(tr).len()))
+    })
+}
+
+fn ties_rank1(bench: &Bench, n: usize) -> Option<Row> {
+    let g = workloads::bipartite(n);
+    // Depth/work of the ties path — the one workload that historically
+    // lacked the fields.  The timed lap runs two stages: the rank-1 instance
+    // construction (one O(|E|) validation round) and the Hopcroft-Karp
+    // oracle (charged by `solve_ties` on the solver's internal tracker); the
+    // recorded stats charge both so they describe exactly what is measured.
+    let tracker = DepthTracker::new();
+    tracker.round();
+    tracker.work(g.num_edges() as u64);
+    let mut stats_solver = PopularSolver::new(0, 0);
+    let _ = stats_solver.solve_ties(&g).expect("valid ties graph");
+    tracker.absorb(stats_solver.stats());
+    let stats = tracker.stats();
+    let wall = bench.sweep(1, || {
+        let inst = pm_popular::ties::rank1_instance(&g).unwrap();
+        black_box(inst.num_edges());
+        popular_matching_rank1(&g).size()
+    });
+    let entities = g.n_left() + g.n_right();
+    Some(Row {
+        wall,
+        pram: Some((stats.depth, stats.work)),
+        extra: vec![(
+            "bytes_per_entity",
+            bytes_per_entity(g.heap_bytes(), entities),
+        )],
+    })
+}
+
+/// The relabeled twin of the clustered-scattered instance for the
+/// `layout/*/on` rows, and the cost of its layout pass in µs — cold, run
+/// once per instance (snapshots persist the result), so an extra field, not
+/// a lap.  Once, untimed, the twin's solve mapped back through the inverse
+/// permutation must be popular on the ORIGINAL (tie-break shifts make it a
+/// possibly different matching than the direct solve's — popularity on the
+/// original is the invariant that matters).
+fn layout_twin(n: usize) -> (Relabeled, u64) {
+    let inst = workloads::clustered_scattered(n);
+    let pass_start = Instant::now();
+    let twin = pm_instances::layout::optimize_layout(&inst).expect("valid instance relabels");
+    let layout_pass_us = pass_start.elapsed().as_micros() as u64;
+    let mut rs = RelabeledSolver::new(inst.num_applicants(), inst.num_posts());
+    assert!(
+        is_popular_characterization(&inst, rs.solve(&twin).expect("solvable workload")),
+        "layout-path answer is not popular on the original instance at n = {n}"
+    );
+    (twin, layout_pass_us)
+}
+
+/// A request stream on one instance: `requests(n)` calls of `solve` per lap,
+/// swept.  `gate` names a warm path that must not allocate: it runs the
+/// zero-allocation gate first and records `allocs_per_solve` (provably 0,
+/// since the gate exits otherwise; recording the measured value keeps the
+/// JSON an observation rather than a constant).
+fn request_row(bench: &Bench, n: usize, gate: Option<&str>, mut solve: impl FnMut()) -> Row {
+    let requests = bench.requests(n);
+    let mut extra = vec![("requests", requests as u64)];
+    if let Some(label) = gate {
+        let allocs = zero_alloc_gate(label, n, &mut solve).unwrap_or_else(|e| gate_failed(&e));
+        extra.push(("allocs_per_solve", allocs));
+    }
+    let wall = bench.sweep(requests, || (0..requests).for_each(|_| solve()));
+    Row {
+        wall,
+        pram: None,
+        extra,
+    }
+}
+
+/// `served/batch/uniform`: `solve_batch` throughput, per batch member.
+fn served_batch(bench: &Bench, n: usize) -> Option<Row> {
+    let batch = if bench.quick { 4 } else { 8 };
+    let insts = workloads::batch_instances(n, batch);
+    let mut solver = PopularSolver::new(n, n);
+    let wall = bench.sweep(batch, || black_box(solver.solve_batch(&insts).len()));
+    // Once per size, untimed: the warm batch path answers every member as a
+    // solo solve of that member would.
+    let mut solo = PopularSolver::new(n, n);
+    for (inst, answer) in insts.iter().zip(solver.solve_batch(&insts)) {
+        assert_eq!(
+            &answer.expect("batch member is solvable"),
+            solo.solve(inst).expect("solvable workload"),
+            "batch answer differs from a solo solve at n = {n}"
+        );
+    }
+    let bytes: usize = insts.iter().map(PrefInstance::heap_bytes).sum();
+    let entities: usize = insts
+        .iter()
+        .map(|i| i.num_applicants() + i.total_posts())
+        .sum();
+    Some(Row {
+        wall,
+        pram: None,
+        extra: vec![
+            ("batch", batch as u64),
+            ("bytes_per_entity", bytes_per_entity(bytes, entities)),
+        ],
+    })
+}
+
+/// Fraction of a full warm solve the amortized per-delta cost of pure-edit
+/// churn may reach before the harness exits non-zero (the incremental
+/// regression gate CI runs on every push).  Dirty-component re-solves on
+/// star-shaped components are microseconds against a full solve's hundreds
+/// of milliseconds at n = 10^6, so 20% is a loose tripwire: it only fires
+/// when the delta path has collapsed into near-constant full re-solves.
+const INCREMENTAL_GATE_FRACTION: f64 = 0.20;
+
+/// `served/incremental/edit_churn`: pure `EditPrefList` deltas with the
+/// first choice pinned (no f-census flips) against a warm [`DeltaSolver`],
+/// the regime the incremental layer is built for: every apply-and-flush
+/// round re-solves only the edited applicant's component and splices it into
+/// the cached global matching.  Reported per delta.  Runs two gates at width
+/// 1: the zero-allocation gate (warm apply+flush rounds on clean shards must
+/// not touch the allocator) and the incremental gate (amortized per-delta
+/// cost must stay under [`INCREMENTAL_GATE_FRACTION`] of a full warm solve).
+fn edit_churn(bench: &Bench, n: usize) -> Option<Row> {
+    let inst = workloads::solvable_uniform(n);
+    // The stream and its reversed-tails twin: a measured pass applies both,
+    // so every edit lands on a list the previous half-pass changed away —
+    // replaying a single stream would time no-op applies on clean shards
+    // instead of shard re-solves.
+    let deltas = if bench.quick { 32 } else { 64 };
+    let stream = workloads::edit_churn_stream(&inst, deltas);
+    let streams = [workloads::resampled_twin(&inst, &stream), stream];
+    let pass_deltas = 2 * deltas;
+
+    // The full-warm-solve reference the incremental gate compares against:
+    // same instance, same width, steady-state solver.
+    let mut ref_solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
+    let mut solve = || black_box(ref_solver.solve(&inst).expect("solvable").num_applicants());
+    let full_warm_ms = pool(1).install(|| {
+        solve();
+        bench.best_ms(1, solve)
+    });
+    drop(ref_solver);
+
+    let mut ds = pool(1)
+        .install(|| DeltaSolver::install(&inst, DeltaMode::Popular))
+        .expect("solvable workload");
+
+    // The held pass keeps each answer until the next one, as the server's
+    // last-good cache and a client do, so the solver must recycle its spare
+    // answer buffer instead of copying the held one.
+    let labels = [
+        "warm delta apply+flush",
+        "warm delta apply+flush with held answers",
+    ];
+    let mut allocs = [0u64; 2];
+    for (held_pass, label) in labels.into_iter().enumerate() {
+        let mut held = None;
+        allocs[held_pass] = zero_alloc_gate(label, n, || {
+            for d in streams.iter().flatten() {
+                ds.apply(d).expect("edit churn deltas are valid");
+                let answer = ds.flush().expect("solvable");
+                black_box(answer.num_applicants());
+                if held_pass == 1 {
+                    held = Some(answer.clone());
+                }
+            }
+        })
+        .unwrap_or_else(|e| gate_failed(&e));
+        drop(held);
+    }
+
+    let wall = bench.sweep(pass_deltas, || {
+        for d in streams.iter().flatten() {
+            ds.apply(d).expect("edit churn deltas are valid");
+            black_box(ds.flush().expect("solvable").num_applicants());
+        }
+    });
+    let amortized_ms = wall[0].1;
+    if amortized_ms > INCREMENTAL_GATE_FRACTION * full_warm_ms {
+        gate_failed(&format!(
+            "INCREMENTAL GATE FAILED: amortized per-delta cost {amortized_ms:.3} ms \
+             exceeds {INCREMENTAL_GATE_FRACTION} x full warm solve ({full_warm_ms:.3} ms) \
+             at n = {n} — the delta path is re-solving from scratch"
+        ));
+    }
+    eprintln!(
+        "incremental gate passed at n = {n} ({} ms/delta vs {full_warm_ms:.3} ms full warm solve)",
+        fmt_ms(amortized_ms)
+    );
+
+    let s = ds.stats();
+    Some(Row {
+        wall,
+        pram: None,
+        extra: vec![
+            ("deltas", pass_deltas as u64),
+            ("full_warm_solve_us", (full_warm_ms * 1e3) as u64),
+            ("allocs_per_pass", allocs[0]),
+            ("held_allocs_per_pass", allocs[1]),
+            ("shard_solves", s.shard_solves),
+            ("full_solves", s.full_solves),
+            ("fallback_full_solves", s.fallback_full_solves),
+            ("spliced_applicants", s.spliced_applicants),
+        ],
+    })
+}
+
+/// `served/incremental/mixed_churn`: the honest mix (edits, applicant
+/// add/remove, post add/remove); post-set changes force full rebuilds by
+/// design, so this family records what heterogeneous churn actually costs,
+/// fallbacks included.
+fn mixed_churn(bench: &Bench, n: usize) -> Option<Row> {
+    let inst = workloads::solvable_uniform(n);
+    let deltas = if bench.quick { 32 } else { 64 };
+    let stream = workloads::mixed_churn_stream(&inst, deltas);
+
+    // The stream mutates the instance (adds/removes), so it cannot be
+    // replayed on the same solver: each width reinstalls a fresh solver
+    // outside the timed region and times one pass.
+    let mut infeasible_flushes = 0u64;
+    let mut last_stats = None;
+    let wall = bench
+        .threads
+        .iter()
+        .map(|&t| {
+            let elapsed = pool(t).install(|| {
+                let mut ds =
+                    DeltaSolver::install(&inst, DeltaMode::Popular).expect("solvable workload");
+                infeasible_flushes = 0;
+                let start = Instant::now();
+                for d in &stream {
+                    ds.apply(d).expect("mirror-validated deltas are valid");
+                    match ds.flush() {
+                        Ok(m) => {
+                            black_box(m.num_applicants());
+                        }
+                        Err(PopularError::NoPopularMatching) => infeasible_flushes += 1,
+                        Err(e) => panic!("mixed churn flush failed: {e}"),
+                    }
+                }
+                let elapsed = start.elapsed();
+                last_stats = Some(ds.stats());
+                elapsed
+            });
+            (t, elapsed.as_secs_f64() * 1e3 / deltas as f64)
+        })
+        .collect();
+
+    let s = last_stats.expect("at least one width measured");
+    Some(Row {
+        wall,
+        pram: None,
+        extra: vec![
+            ("deltas", deltas as u64),
+            ("infeasible_flushes", infeasible_flushes),
+            ("shard_solves", s.shard_solves),
+            ("full_solves", s.full_solves),
+            ("fallback_full_solves", s.fallback_full_solves),
+            ("spliced_applicants", s.spliced_applicants),
+        ],
+    })
+}
+
+/// `served/incremental/server_churn`: the `edit_churn` streams through the
+/// fault-tolerant [`Server`] delta path (bounded queue, scheduling tick,
+/// coalescing, health gate), measured at width 1 with the server's delta
+/// counters recorded alongside.
+fn server_churn(bench: &Bench, n: usize) -> Option<Row> {
+    let inst = workloads::solvable_uniform(n);
+    let deltas = if bench.quick { 32 } else { 64 };
+    // Same stream/reversed-twin alternation as `edit_churn`: each measured
+    // round submits both, so replays stay genuine changes.
+    let stream = workloads::edit_churn_stream(&inst, deltas);
+    let streams = [workloads::resampled_twin(&inst, &stream), stream];
+    let pass_deltas = 2 * deltas;
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        queue_capacity: deltas,
+        faults: Spec::none(),
+        ..ServerConfig::default()
+    });
+    server
+        .install_delta(1, &inst, SolveMode::Popular)
+        .expect("solvable workload");
+
+    // One burst: submit the whole stream, then wait for every ticket.  The
+    // single worker drains the queue in coalesced rounds, so this measures
+    // the full tick path — queue, drain, apply, one flush per round,
+    // response fan-out.
+    let burst = || {
+        for stream in &streams {
+            let tickets: Vec<_> = stream
+                .iter()
+                .map(|d| {
+                    server
+                        .submit_delta(DeltaRequest::new(1, d.clone()))
+                        .expect("burst fits the pending capacity")
+                })
+                .collect();
+            for t in tickets {
+                let resp = t.wait().expect("edit churn deltas solve cleanly");
+                black_box(resp.matching.num_applicants());
+            }
+        }
+    };
+    burst();
+    let wall = bench.width1(pass_deltas, burst);
+
+    let s = server.stats();
+    let d = server.delta_stats(1).expect("installed above");
+    server.shutdown();
+    Some(Row {
+        wall,
+        pram: None,
+        extra: vec![
+            ("deltas", pass_deltas as u64),
+            ("served", s.served),
+            ("delta_ticks", s.delta_ticks),
+            ("deltas_coalesced", s.deltas_coalesced),
+            ("degraded_responses", s.degraded_responses),
+            ("panics_recovered", s.panics_recovered),
+            ("shard_solves", d.shard_solves),
+            ("full_solves", d.full_solves),
+            ("fallback_full_solves", d.fallback_full_solves),
+        ],
+    })
+}
+
+/// The server-routed families (`served/server_warm`, `served/degraded`,
+/// `faults/chaos`): the `served/warm_solve` request stream, but travelling
+/// the full fault-tolerant path — bounded queue, deadline check, health
+/// gate, `catch_unwind` — so the trajectory records what robustness costs
+/// per request.  A burst of requests (the queue's capacity) goes to a
+/// [`Server`] started from `config`; with `degrade`, the instance id is
+/// force-degraded first and every answer must be the serial-dictatorship
+/// fallback.  One burst warms the worker's solver; the rest are timed at
+/// width 1.  Returns the row, with the server counters as extra fields, and
+/// the counters themselves.
+fn server_burst(
+    bench: &Bench,
+    n: usize,
+    config: ServerConfig,
+    degrade: bool,
+) -> (Row, StatsSnapshot) {
+    let requests = if bench.quick { 8 } else { 16 };
+    let inst = Arc::new(workloads::solvable_uniform(n));
+    let server = Server::start(ServerConfig {
+        queue_capacity: requests,
+        ..config
+    });
+    if degrade {
+        server.force_degrade(1);
+    }
+    // Submits the burst and waits for every ticket; returns the
+    // degraded-answer count observed by the client side.
+    let burst = || {
+        let tickets: Vec<_> = (0..requests)
+            .map(|_| {
+                server
+                    .submit(Request::new(Arc::clone(&inst), 1))
+                    .expect("burst fits the queue capacity")
+            })
+            .collect();
+        let mut degraded = 0u64;
+        for t in tickets {
+            match t.wait() {
+                Ok(resp) => degraded += u64::from(resp.is_degraded()),
+                Err(ServeError::Faulted) => {}
+                Err(e) => panic!("server burst failed: {e}"),
+            }
+        }
+        degraded
+    };
+    let degraded = burst();
+    if degrade {
+        assert_eq!(
+            degraded, requests as u64,
+            "a force-degraded id must answer every request degraded"
+        );
+    }
+    let wall = bench.width1(requests, burst);
+
+    let s = server.stats();
+    server.shutdown();
+    let extra = vec![
+        ("requests", requests as u64),
+        ("served", s.served),
+        ("rejected", s.rejected),
+        ("shed", s.shed),
+        ("panics_recovered", s.panics_recovered),
+        ("degraded_responses", s.degraded_responses),
+    ];
+    (
+        Row {
+            wall,
+            pram: None,
+            extra,
+        },
+        s,
+    )
+}
+
+/// A `cold/` ingest row: `ingest` must reproduce `inst` (checked once,
+/// untimed), then it is timed at width 1 — ingest is sequential.
+fn ingest_row(bench: &Bench, inst: &PrefInstance, mut ingest: impl FnMut() -> PrefInstance) -> Row {
+    assert_eq!(ingest(), *inst, "ingest must reproduce the instance");
+    Row {
+        wall: bench.width1(1, ingest),
+        pram: None,
+        extra: vec![("bytes_per_entity", instance_bytes_per_entity(inst))],
+    }
+}
+
+/// Allocations one snapshot load may perform: essentially one per flat
+/// buffer plus the file read.  More means the loader started restructuring
+/// instead of filling flat buffers, and the harness exits non-zero.
+const COLD_ALLOC_BOUND: u64 = 16;
+
+/// `cold/snapshot_load/uniform`: the binary CSR snapshot loader, behind the
+/// counting-allocator gate of [`COLD_ALLOC_BOUND`].
+fn snapshot_load(bench: &Bench, n: usize) -> Option<Row> {
+    let inst = workloads::solvable_uniform(n);
+    let path = std::env::temp_dir().join(format!("pm_bench_cold_{n}.pmsnap"));
+    pm_instances::snapshot::write_file(&inst, &path).expect("snapshot write");
+
+    // Allocation gate: one load, counted exactly.
+    let before = allocation_count();
+    let loaded = pm_instances::snapshot::read_file(&path).expect("snapshot read");
+    let allocs = allocation_count() - before;
+    assert_eq!(loaded, inst, "snapshot load must reproduce the instance");
+    drop(loaded);
+    if allocs > COLD_ALLOC_BOUND {
+        gate_failed(&format!(
+            "COLD-ALLOC GATE FAILED: snapshot_load performed {allocs} allocations \
+             at n = {n} (bound {COLD_ALLOC_BOUND}) — the loader is restructuring \
+             instead of filling flat buffers"
+        ));
+    }
+    eprintln!(
+        "cold-alloc gate passed at n = {n} \
+         ({allocs} allocations per snapshot load, bound {COLD_ALLOC_BOUND})"
+    );
+
+    let wall = bench.width1(1, || {
+        pm_instances::snapshot::read_file(&path).expect("snapshot read")
+    });
+    std::fs::remove_file(&path).ok();
+    Some(Row {
+        wall,
+        pram: None,
+        extra: vec![
+            ("allocs_per_load", allocs),
+            ("bytes_per_entity", instance_bytes_per_entity(&inst)),
+        ],
+    })
 }
 
 /// The multicore regression gate behind `--assert-speedup FLOOR` (the CI
@@ -935,7 +1559,7 @@ fn assert_speedup_floor(results: &[JsonResult], threads: &[usize], floor: f64) {
     let hw = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let gated: Vec<&JsonResult> = results
         .iter()
-        .filter(|r| r.n >= GATE_MIN_N && r.wall_ms_by_threads.len() > 1)
+        .filter(|r| r.n >= GATE_MIN_N && r.row.wall.len() > 1)
         .collect();
     if gated.is_empty() {
         eprintln!(
@@ -946,7 +1570,7 @@ fn assert_speedup_floor(results: &[JsonResult], threads: &[usize], floor: f64) {
     }
     let mut failed = false;
     for r in gated {
-        let s = r.speedup_vs_1();
+        let s = r.row.speedup_vs_1();
         let ok = s >= floor;
         eprintln!(
             "speedup gate: {} n={} speedup_vs_1 = {s:.2} (floor {floor:.2}) — {}",
@@ -964,29 +1588,23 @@ fn assert_speedup_floor(results: &[JsonResult], threads: &[usize], floor: f64) {
                  on this machine, not a regression signal"
             );
         } else {
-            eprintln!("speedup gate: FAILED (workloads below the floor listed above)");
-            std::process::exit(1);
+            gate_failed("speedup gate: FAILED (workloads below the floor listed above)");
         }
     }
 }
 
+/// Warm laps per `--profile` row.
+const PROFILE_REPS: u32 = 5;
+
 /// `--profile`: the per-kernel phase clock (pm_popular::profile) over warm
-/// solves of the headline uniform workload.  Census and Jump are sub-spans
-/// *inside* Algorithm 2, so the five columns do not sum to the total; the
-/// clock itself is two relaxed atomics per span, so the numbers below are
-/// the same solves the trajectory file times.
-fn profile_trajectory(quick: bool) {
-    use pm_popular::profile::{
-        enable_phase_timings, phase_timings, reset_phase_timings, SolvePhase,
-    };
-    let sizes: &[usize] = if quick {
-        &[10_000, 100_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-    let reps = 5u32;
+/// solves.  Census and Jump are sub-spans *inside* Algorithm 2, so the
+/// columns of the first table do not sum to the total; the clock itself is
+/// two relaxed atomics per span, so the numbers below are the same solves
+/// the trajectory file times.
+fn print_profile(quick: bool) {
+    let sizes = if quick { SOLVE_SIZES.0 } else { SOLVE_SIZES.1 };
     println!(
-        "<!-- harness --profile: {} rayon threads, {reps} warm solves per size -->\n",
+        "<!-- harness --profile: {} rayon threads, {PROFILE_REPS} warm solves per size -->\n",
         rayon::current_num_threads()
     );
     let mut t = Table::new(
@@ -1004,38 +1622,21 @@ fn profile_trajectory(quick: bool) {
     for &n in sizes {
         let inst = workloads::solvable_uniform(n);
         let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
-        // One untimed solve warms the workspace so the phase totals describe
-        // steady-state serving, not first-touch page faults.
-        solver.solve(&inst).expect("solvable workload");
-        reset_phase_timings();
-        enable_phase_timings(true);
-        let start = std::time::Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(
+        let phases = [
+            SolvePhase::Reduce,
+            SolvePhase::Algorithm2,
+            SolvePhase::Promote,
+            SolvePhase::Census,
+            SolvePhase::Jump,
+        ];
+        t.row(phase_row(n, &phases, || {
+            black_box(
                 solver
                     .solve(&inst)
                     .expect("solvable workload")
                     .num_applicants(),
             );
-        }
-        let total_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
-        enable_phase_timings(false);
-        let timings = phase_timings();
-        let per_solve = |p: SolvePhase| {
-            format!(
-                "{:.3}",
-                timings.get(p).as_secs_f64() * 1e3 / f64::from(reps)
-            )
-        };
-        t.row(vec![
-            n.to_string(),
-            per_solve(SolvePhase::Reduce),
-            per_solve(SolvePhase::Algorithm2),
-            per_solve(SolvePhase::Promote),
-            per_solve(SolvePhase::Census),
-            per_solve(SolvePhase::Jump),
-            format!("{total_ms:.3}"),
-        ]);
+        }));
     }
     t.print();
 
@@ -1051,984 +1652,47 @@ fn profile_trajectory(quick: bool) {
     for &n in sizes {
         let g = workloads::bipartite(n);
         let mut solver = PopularSolver::new(0, 0);
-        let _ = solver.solve_ties(&g).expect("valid ties graph");
-        reset_phase_timings();
-        enable_phase_timings(true);
-        let start = std::time::Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(solver.solve_ties(&g).expect("valid ties graph").size());
-        }
-        let total_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
-        enable_phase_timings(false);
-        let timings = phase_timings();
-        let per_solve = |p: SolvePhase| {
-            format!(
-                "{:.3}",
-                timings.get(p).as_secs_f64() * 1e3 / f64::from(reps)
-            )
-        };
-        t2.row(vec![
-            n.to_string(),
-            per_solve(SolvePhase::HkBfs),
-            per_solve(SolvePhase::HkDfs),
-            per_solve(SolvePhase::HkAugment),
-            format!("{total_ms:.3}"),
-        ]);
+        let phases = [SolvePhase::HkBfs, SolvePhase::HkDfs, SolvePhase::HkAugment];
+        t2.row(phase_row(n, &phases, || {
+            black_box(solver.solve_ties(&g).expect("valid ties graph").size());
+        }));
     }
     t2.print();
 }
 
-/// The `layout/` workload family (E23): the same pipeline measured with
-/// and without the locality layout pass of `pm_instances::layout`
-/// (DESIGN.md §12), on the clustered-scattered workload — community
-/// structure in the preferences, post ids scattered across the whole id
-/// space.
-///
-/// * `layout/switching_graph/{off,on}` — switching-graph build +
-///   components + margins over a popular matching of the original (`off`)
-///   vs the relabeled twin (`on`); the headline A/B of the layout PR.
-/// * `layout/warm_solve/{off,on}` — warm repeated solves: a plain
-///   [`PopularSolver`] on the original vs a
-///   [`pm_popular::RelabeledSolver`] solving the twin and mapping answers
-///   back to original post ids.  The `on` side runs the **zero-allocation
-///   gate** (the map-back buffer is pooled, so warm layout solves must not
-///   touch the allocator) and records `allocs_per_solve`.
-///
-/// Once per size, untimed, the twin's mapped-back answer is verified
-/// popular **on the original instance** (tie-break shifts make it a
-/// possibly different matching than the direct solve's — popularity on the
-/// original is the invariant that matters).  The `on` entries record the
-/// one-time layout pass cost as `layout_pass_us`.
-fn layout_trajectory(
-    quick: bool,
-    threads: &[usize],
-    reps: usize,
-    selected: &dyn Fn(&str) -> bool,
-    results: &mut Vec<JsonResult>,
-) {
-    use pm_popular::relabel::RelabeledSolver;
-
-    let want_sg = selected("layout/switching_graph/off") || selected("layout/switching_graph/on");
-    let want_warm = selected("layout/warm_solve/off") || selected("layout/warm_solve/on");
-    if !(want_sg || want_warm) {
-        return;
-    }
-    let sizes: &[usize] = if quick {
-        &[100_000]
-    } else {
-        &[100_000, 1_000_000]
-    };
-    for &n in sizes {
-        let inst = workloads::clustered_scattered(n);
-
-        // The layout pass itself — cold, run once per instance (snapshots
-        // persist the result), so its cost is an extra field, not a lap.
-        let pass_start = std::time::Instant::now();
-        let relabeled =
-            pm_instances::layout::optimize_layout(&inst).expect("valid instance relabels");
-        let layout_pass_us = pass_start.elapsed().as_micros() as u64;
-
-        // Correctness once per size, untimed: the twin's solve, mapped back
-        // through the inverse permutation, must be popular on the ORIGINAL.
-        let mut rs = RelabeledSolver::new(inst.num_applicants(), inst.num_posts());
-        let mapped = rs.solve(&relabeled).expect("solvable workload").clone();
-        assert!(
-            is_popular_characterization(&inst, &mapped),
-            "layout-path answer is not popular on the original instance at n = {n}"
-        );
-        drop(rs);
-
-        if want_sg {
-            for (workload, subject) in [
-                ("layout/switching_graph/off", &inst),
-                ("layout/switching_graph/on", relabeled.instance()),
-            ] {
-                let tracker = DepthTracker::new();
-                let run = popular_matching_run(subject, &tracker).expect("solvable workload");
-                let sg_tracker = DepthTracker::new();
-                {
-                    let sg = SwitchingGraph::build(&run.reduced, &run.matching, &sg_tracker);
-                    let _ = sg.components(&sg_tracker);
-                    let _ = sg.margins_to_sink(&sg_tracker);
-                }
-                let stats = sg_tracker.stats();
-                let wall_ms_by_threads = sweep_threads(threads, reps, || {
-                    let tr = DepthTracker::new();
-                    let sg = SwitchingGraph::build(&run.reduced, &run.matching, &tr);
-                    let comps = sg.components(&tr);
-                    let margins = sg.margins_to_sink(&tr);
-                    std::hint::black_box((comps.len(), margins.len()))
-                });
-                let mut extra = vec![("bytes_per_entity", instance_bytes_per_entity(subject))];
-                if workload.ends_with("/on") {
-                    extra.push(("layout_pass_us", layout_pass_us));
-                }
-                results.push(JsonResult {
-                    workload,
-                    n,
-                    wall_ms_by_threads,
-                    pram: Some((stats.depth, stats.work)),
-                    extra,
-                });
-            }
-        }
-
-        if want_warm {
-            let requests: usize = if n >= 1_000_000 {
-                2
-            } else if quick {
-                4
-            } else {
-                8
-            };
-
-            // Off: plain warm solves on the scattered original.
-            let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
-            solver.solve(&inst).expect("solvable workload");
-            let wall_off: Vec<(usize, f64)> = sweep_threads(threads, reps, || {
-                for _ in 0..requests {
-                    std::hint::black_box(solver.solve(&inst).expect("solvable").num_applicants());
-                }
-            })
-            .into_iter()
-            .map(|(t, total_ms)| (t, total_ms / requests as f64))
-            .collect();
-            drop(solver);
-            results.push(JsonResult {
-                workload: "layout/warm_solve/off",
-                n,
-                wall_ms_by_threads: wall_off,
-                pram: None,
-                extra: vec![
-                    ("requests", requests as u64),
-                    ("bytes_per_entity", instance_bytes_per_entity(&inst)),
-                ],
-            });
-
-            // On: warm solves through the layout, answers in original ids.
-            // Zero-allocation gate at width 1, like `served/warm_solve`.
-            let mut rs = RelabeledSolver::new(inst.num_applicants(), inst.num_posts());
-            let pool1 = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .expect("shim pools always build");
-            let mut warmups = 0u32;
-            loop {
-                let before = allocation_count();
-                pool1.install(|| {
-                    std::hint::black_box(rs.solve(&relabeled).expect("solvable").num_applicants());
-                });
-                warmups += 1;
-                if allocation_count() == before || warmups >= 10 {
-                    break;
-                }
-            }
-            let before = allocation_count();
-            pool1.install(|| {
-                for _ in 0..3 {
-                    std::hint::black_box(rs.solve(&relabeled).expect("solvable").num_applicants());
-                }
-            });
-            let allocs = allocation_count() - before;
-            if allocs != 0 {
-                eprintln!(
-                    "ZERO-ALLOC GATE FAILED: warm layout solve (RelabeledSolver) performed \
-                     {allocs} allocations over 3 solves at n = {n} after {warmups} warm-ups \
-                     (expected 0)"
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "zero-alloc gate passed at n = {n} \
-                 (0 allocations across 3 warm layout solves, {warmups} warm-ups to steady state)"
-            );
-
-            let wall_on: Vec<(usize, f64)> = sweep_threads(threads, reps, || {
-                for _ in 0..requests {
-                    std::hint::black_box(rs.solve(&relabeled).expect("solvable").num_applicants());
-                }
-            })
-            .into_iter()
-            .map(|(t, total_ms)| (t, total_ms / requests as f64))
-            .collect();
-            results.push(JsonResult {
-                workload: "layout/warm_solve/on",
-                n,
-                wall_ms_by_threads: wall_on,
-                pram: None,
-                extra: vec![
-                    ("requests", requests as u64),
-                    ("allocs_per_solve", allocs),
-                    ("layout_pass_us", layout_pass_us),
-                    (
-                        "bytes_per_entity",
-                        instance_bytes_per_entity(relabeled.instance()),
-                    ),
-                ],
-            });
-        }
-    }
+/// One `--profile` row: `n`, then each of `phases` and the total wall time
+/// in ms per lap over [`PROFILE_REPS`] laps with the phase clock on.  One
+/// untimed lap first warms the workspace, so the totals describe
+/// steady-state serving, not first-touch page faults.
+fn phase_row(n: usize, phases: &[SolvePhase], mut lap: impl FnMut()) -> Vec<String> {
+    lap();
+    reset_phase_timings();
+    enable_phase_timings(true);
+    let start = Instant::now();
+    (0..PROFILE_REPS).for_each(|_| lap());
+    let total_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(PROFILE_REPS);
+    enable_phase_timings(false);
+    let timings = phase_timings();
+    let per_lap = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e3 / f64::from(PROFILE_REPS));
+    let mut row = vec![n.to_string()];
+    row.extend(phases.iter().map(|&p| per_lap(timings.get(p))));
+    row.push(format!("{total_ms:.3}"));
+    row
 }
 
-/// The `served/` workload family: warm repeated solves on one reused
-/// [`PopularSolver`], the cold free-function path on the same request
-/// stream, and batched throughput — all reported as amortized per-request
-/// milliseconds.  Also runs the zero-allocation gate: a width-1 warm solve
-/// under the counting allocator must allocate exactly zero times, or the
-/// harness exits non-zero (the CI regression gate).
-fn served_trajectory(
-    quick: bool,
-    threads: &[usize],
-    reps: usize,
-    selected: &dyn Fn(&str) -> bool,
-    results: &mut Vec<JsonResult>,
-) {
-    let served_sizes: &[usize] = if quick {
-        &[10_000, 100_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-
-    if selected("served/warm_solve/uniform") {
-        for &n in served_sizes {
-            let inst = workloads::solvable_uniform(n);
-            let requests: usize = if n >= 1_000_000 {
-                2
-            } else if quick {
-                4
-            } else {
-                8
-            };
-            let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
-
-            // Zero-allocation gate, width 1: warm until the pooled buffers
-            // reach steady state (capacity growth settles within a few
-            // requests; 10 is far beyond it), then three measured solves
-            // must not touch the allocator at all.
-            let pool1 = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .expect("shim pools always build");
-            let mut warmups = 0u32;
-            loop {
-                let before = allocation_count();
-                pool1.install(|| {
-                    std::hint::black_box(solver.solve(&inst).expect("solvable").num_applicants());
-                });
-                warmups += 1;
-                if allocation_count() == before || warmups >= 10 {
-                    break;
-                }
-            }
-            let before = allocation_count();
-            pool1.install(|| {
-                for _ in 0..3 {
-                    std::hint::black_box(solver.solve(&inst).expect("solvable").num_applicants());
-                }
-            });
-            let allocs = allocation_count() - before;
-            if allocs != 0 {
-                eprintln!(
-                    "ZERO-ALLOC GATE FAILED: warm PopularSolver::solve performed {allocs} \
-                     allocations over 3 solves at n = {n} after {warmups} warm-ups (expected 0)"
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "zero-alloc gate passed at n = {n} \
-                 (0 allocations across 3 warm solves, {warmups} warm-ups to steady state)"
-            );
-
-            let wall_ms_by_threads: Vec<(usize, f64)> = sweep_threads(threads, reps, || {
-                for _ in 0..requests {
-                    std::hint::black_box(solver.solve(&inst).expect("solvable").num_applicants());
-                }
-            })
-            .into_iter()
-            .map(|(t, total_ms)| (t, total_ms / requests as f64))
-            .collect();
-            results.push(JsonResult {
-                workload: "served/warm_solve/uniform",
-                n,
-                wall_ms_by_threads,
-                pram: None,
-                // `allocs` is provably 0 here (the gate above exits
-                // otherwise); recording the measured value keeps the JSON
-                // an observation rather than a constant.
-                extra: vec![
-                    ("requests", requests as u64),
-                    ("allocs_per_solve", allocs),
-                    ("bytes_per_entity", instance_bytes_per_entity(&inst)),
-                ],
-            });
-        }
-    }
-
-    if selected("served/cold_solve/uniform") {
-        for &n in served_sizes {
-            let inst = workloads::solvable_uniform(n);
-            let requests: usize = if n >= 1_000_000 {
-                2
-            } else if quick {
-                4
-            } else {
-                8
-            };
-            let wall_ms_by_threads: Vec<(usize, f64)> = sweep_threads(threads, reps, || {
-                for _ in 0..requests {
-                    let tr = DepthTracker::new();
-                    std::hint::black_box(
-                        pm_popular::algorithm1::popular_matching_nc(&inst, &tr)
-                            .expect("solvable")
-                            .num_applicants(),
-                    );
-                }
-            })
-            .into_iter()
-            .map(|(t, total_ms)| (t, total_ms / requests as f64))
-            .collect();
-            results.push(JsonResult {
-                workload: "served/cold_solve/uniform",
-                n,
-                wall_ms_by_threads,
-                pram: None,
-                extra: vec![
-                    ("requests", requests as u64),
-                    ("bytes_per_entity", instance_bytes_per_entity(&inst)),
-                ],
-            });
-        }
-    }
-
-    if selected("served/batch/uniform") {
-        let (batch_n, batch_size): (usize, usize) = if quick { (10_000, 4) } else { (100_000, 8) };
-        let insts = workloads::batch_instances(batch_n, batch_size);
-        let mut solver = PopularSolver::new(batch_n, batch_n);
-        let wall_ms_by_threads: Vec<(usize, f64)> = sweep_threads(threads, reps, || {
-            let out = solver.solve_batch(&insts);
-            debug_assert!(out.iter().all(Result::is_ok));
-            std::hint::black_box(out.len())
-        })
-        .into_iter()
-        .map(|(t, total_ms)| (t, total_ms / batch_size as f64))
-        .collect();
-        let batch_bytes: usize = insts.iter().map(PrefInstance::heap_bytes).sum();
-        let batch_entities: usize = insts
-            .iter()
-            .map(|i| i.num_applicants() + i.total_posts())
-            .sum();
-        results.push(JsonResult {
-            workload: "served/batch/uniform",
-            n: batch_n,
-            wall_ms_by_threads,
-            pram: None,
-            extra: vec![
-                ("batch", batch_size as u64),
-                (
-                    "bytes_per_entity",
-                    bytes_per_entity(batch_bytes, batch_entities),
-                ),
-            ],
-        });
-    }
-}
-
-/// Fraction of a full warm solve the amortized per-delta cost of pure-edit
-/// churn may reach before the harness exits non-zero (the incremental
-/// regression gate CI runs on every push).  Dirty-component re-solves on
-/// star-shaped components are microseconds against a full solve's hundreds
-/// of milliseconds at n = 10^6, so 20% is a loose tripwire: it only fires
-/// when the delta path has collapsed into near-constant full re-solves.
-const INCREMENTAL_GATE_FRACTION: f64 = 0.20;
-
-/// The `served/incremental/` workload family (PR 8): churn streams against
-/// a warm [`DeltaSolver`], reported as amortized per-delta milliseconds —
-///
-/// * `served/incremental/edit_churn` — pure `EditPrefList` deltas with the
-///   first choice pinned (no f-census flips), the regime the incremental
-///   layer is built for: every apply-and-flush round re-solves only the
-///   edited applicant's component and splices it into the cached global
-///   matching.  Runs two gates at width 1: the **zero-allocation gate**
-///   (warm apply+flush rounds on clean shards must not touch the
-///   allocator) and the **incremental gate** (amortized per-delta cost must
-///   stay under [`INCREMENTAL_GATE_FRACTION`] of a full warm solve).
-/// * `served/incremental/mixed_churn` — the honest mix (edits, applicant
-///   add/remove, post add/remove); post-set changes force full rebuilds by
-///   design, so this family records what heterogeneous churn actually
-///   costs, fallbacks included.  The stream mutates the instance, so each
-///   measured pass reinstalls a fresh solver (untimed) and is timed once.
-/// * `served/incremental/server_churn` — the same edit stream through the
-///   fault-tolerant [`Server`] delta path (bounded queue, scheduling tick,
-///   coalescing, health gate), measured at width 1 with the server's
-///   delta counters recorded alongside.
-fn incremental_trajectory(
-    quick: bool,
-    threads: &[usize],
-    reps: usize,
-    selected: &dyn Fn(&str) -> bool,
-    results: &mut Vec<JsonResult>,
-) {
-    let inc_sizes: &[usize] = if quick {
-        &[10_000, 100_000]
-    } else {
-        &[10_000, 100_000, 1_000_000]
-    };
-    let deltas: usize = if quick { 32 } else { 64 };
-
-    if selected("served/incremental/edit_churn") {
-        for &n in inc_sizes {
-            let inst = workloads::solvable_uniform(n);
-            // The stream and its reversed-tails twin: a measured pass
-            // applies both, so every edit lands on a list the previous
-            // half-pass changed away — replaying a single stream would time
-            // no-op applies on clean shards instead of shard re-solves.
-            let stream = workloads::edit_churn_stream(&inst, deltas);
-            let streams = [workloads::resampled_twin(&inst, &stream), stream];
-            let pass_deltas = 2 * deltas;
-            let pool1 = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .expect("shim pools always build");
-
-            // The full-warm-solve reference the incremental gate compares
-            // against: same instance, same width, steady-state solver.
-            let mut ref_solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
-            let full_warm_ms = pool1.install(|| {
-                std::hint::black_box(ref_solver.solve(&inst).expect("solvable").num_applicants());
-                let (_, t) = time_best(reps, || {
-                    std::hint::black_box(
-                        ref_solver.solve(&inst).expect("solvable").num_applicants(),
-                    )
-                });
-                t.as_secs_f64() * 1e3
-            });
-            drop(ref_solver);
-
-            let mut ds = pool1
-                .install(|| DeltaSolver::install(&inst, DeltaMode::Popular))
-                .expect("solvable workload");
-
-            // Zero-allocation gate, width 1: replay the stream until the
-            // pooled buffers (dirty lists, component scratch, sub-instance
-            // slices) reach steady state, then three full apply+flush
-            // passes must not allocate at all.  The held pass keeps each
-            // answer until the next one, as the server's last-good cache
-            // and a client do, so the solver must recycle its spare answer
-            // buffer instead of copying the held one.
-            let mut allocs_by_pass = [0u64; 2];
-            for (held_pass, allocs) in allocs_by_pass.iter_mut().enumerate() {
-                let mut held = None;
-                let mut churn_pass = || {
-                    for d in streams.iter().flatten() {
-                        ds.apply(d).expect("edit churn deltas are valid");
-                        let answer = ds.flush().expect("solvable");
-                        std::hint::black_box(answer.num_applicants());
-                        if held_pass == 1 {
-                            held = Some(answer.clone());
-                        }
-                    }
-                };
-                let mut warmups = 0u32;
-                loop {
-                    let before = allocation_count();
-                    pool1.install(&mut churn_pass);
-                    warmups += 1;
-                    if allocation_count() == before || warmups >= 10 {
-                        break;
-                    }
-                }
-                let before = allocation_count();
-                pool1.install(|| (0..3).for_each(|_| churn_pass()));
-                *allocs = allocation_count() - before;
-                drop(held);
-                let what = ["apply+flush", "apply+flush with held answers"][held_pass];
-                if *allocs != 0 {
-                    eprintln!(
-                        "ZERO-ALLOC GATE FAILED: warm delta {what} performed {allocs} \
-                         allocations over 3 x {pass_deltas} deltas at n = {n} after {warmups} \
-                         warm-up passes (expected 0)"
-                    );
-                    std::process::exit(1);
-                }
-                eprintln!(
-                    "zero-alloc gate passed at n = {n} for {what} (0 allocations across \
-                     3 warm churn passes, {warmups} warm-ups to steady state)"
-                );
-            }
-            let [allocs, held_allocs] = allocs_by_pass;
-
-            let wall_ms_by_threads: Vec<(usize, f64)> = sweep_threads(threads, reps, || {
-                for d in streams.iter().flatten() {
-                    ds.apply(d).expect("edit churn deltas are valid");
-                    std::hint::black_box(ds.flush().expect("solvable").num_applicants());
-                }
-            })
-            .into_iter()
-            .map(|(t, total_ms)| (t, total_ms / pass_deltas as f64))
-            .collect();
-
-            let amortized_ms = wall_ms_by_threads[0].1;
-            if amortized_ms > INCREMENTAL_GATE_FRACTION * full_warm_ms {
-                eprintln!(
-                    "INCREMENTAL GATE FAILED: amortized per-delta cost {amortized_ms:.3} ms \
-                     exceeds {INCREMENTAL_GATE_FRACTION} x full warm solve ({full_warm_ms:.3} ms) \
-                     at n = {n} — the delta path is re-solving from scratch"
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "incremental gate passed at n = {n} ({} ms/delta vs \
-                 {full_warm_ms:.3} ms full warm solve)",
-                fmt_ms(amortized_ms)
-            );
-
-            let s = ds.stats();
-            results.push(JsonResult {
-                workload: "served/incremental/edit_churn",
-                n,
-                wall_ms_by_threads,
-                pram: None,
-                extra: vec![
-                    ("deltas", pass_deltas as u64),
-                    ("full_warm_solve_us", (full_warm_ms * 1e3) as u64),
-                    ("allocs_per_pass", allocs),
-                    ("held_allocs_per_pass", held_allocs),
-                    ("shard_solves", s.shard_solves),
-                    ("full_solves", s.full_solves),
-                    ("fallback_full_solves", s.fallback_full_solves),
-                    ("spliced_applicants", s.spliced_applicants),
-                ],
-            });
-        }
-    }
-
-    if selected("served/incremental/mixed_churn") {
-        let mixed_sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
-        for &n in mixed_sizes {
-            let inst = workloads::solvable_uniform(n);
-            let stream = workloads::mixed_churn_stream(&inst, deltas);
-
-            // The stream mutates the instance (adds/removes), so it cannot
-            // be replayed on the same solver: each width reinstalls a fresh
-            // solver outside the timed region and times one pass.
-            let mut infeasible_flushes = 0u64;
-            let mut last_stats = None;
-            let wall_ms_by_threads: Vec<(usize, f64)> = threads
-                .iter()
-                .map(|&t| {
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(t)
-                        .build()
-                        .expect("shim pools always build");
-                    let elapsed = pool.install(|| {
-                        let mut ds = DeltaSolver::install(&inst, DeltaMode::Popular)
-                            .expect("solvable workload");
-                        infeasible_flushes = 0;
-                        let start = std::time::Instant::now();
-                        for d in &stream {
-                            ds.apply(d).expect("mirror-validated deltas are valid");
-                            match ds.flush() {
-                                Ok(m) => {
-                                    std::hint::black_box(m.num_applicants());
-                                }
-                                Err(PopularError::NoPopularMatching) => infeasible_flushes += 1,
-                                Err(e) => panic!("mixed churn flush failed: {e}"),
-                            }
-                        }
-                        let elapsed = start.elapsed();
-                        last_stats = Some(ds.stats());
-                        elapsed
-                    });
-                    (t, elapsed.as_secs_f64() * 1e3 / deltas as f64)
-                })
-                .collect();
-
-            let s = last_stats.expect("at least one width measured");
-            results.push(JsonResult {
-                workload: "served/incremental/mixed_churn",
-                n,
-                wall_ms_by_threads,
-                pram: None,
-                extra: vec![
-                    ("deltas", deltas as u64),
-                    ("infeasible_flushes", infeasible_flushes),
-                    ("shard_solves", s.shard_solves),
-                    ("full_solves", s.full_solves),
-                    ("fallback_full_solves", s.fallback_full_solves),
-                    ("spliced_applicants", s.spliced_applicants),
-                ],
-            });
-        }
-    }
-
-    if selected("served/incremental/server_churn") {
-        let server_sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
-        for &n in server_sizes {
-            let inst = workloads::solvable_uniform(n);
-            // Same stream/reversed-twin alternation as `edit_churn`: each
-            // measured round submits both, so replays stay genuine changes.
-            let stream = workloads::edit_churn_stream(&inst, deltas);
-            let streams = [workloads::resampled_twin(&inst, &stream), stream];
-            let pass_deltas = 2 * deltas;
-            let server = Server::start(ServerConfig {
-                workers: 1,
-                queue_capacity: deltas,
-                faults: Spec::none(),
-                ..ServerConfig::default()
-            });
-            server
-                .install_delta(1, &inst, SolveMode::Popular)
-                .expect("solvable workload");
-
-            // One burst: submit the whole stream, then wait for every
-            // ticket.  The single worker drains the queue in coalesced
-            // rounds, so this measures the full tick path — queue, drain,
-            // apply, one flush per round, response fan-out.
-            let burst = || {
-                for stream in &streams {
-                    let tickets: Vec<_> = stream
-                        .iter()
-                        .map(|d| {
-                            server
-                                .submit_delta(DeltaRequest::new(1, d.clone()))
-                                .expect("burst fits the pending capacity")
-                        })
-                        .collect();
-                    for t in tickets {
-                        let resp = t.wait().expect("edit churn deltas solve cleanly");
-                        std::hint::black_box(resp.matching.num_applicants());
-                    }
-                }
-            };
-            burst();
-            let (_, t) = time_best(reps, burst);
-
-            let s = server.stats();
-            let d = server.delta_stats(1).expect("installed above");
-            results.push(JsonResult {
-                workload: "served/incremental/server_churn",
-                n,
-                wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3 / pass_deltas as f64)],
-                pram: None,
-                extra: vec![
-                    ("deltas", pass_deltas as u64),
-                    ("served", s.served),
-                    ("delta_ticks", s.delta_ticks),
-                    ("deltas_coalesced", s.deltas_coalesced),
-                    ("degraded_responses", s.degraded_responses),
-                    ("panics_recovered", s.panics_recovered),
-                    ("shard_solves", d.shard_solves),
-                    ("full_solves", d.full_solves),
-                    ("fallback_full_solves", d.fallback_full_solves),
-                ],
-            });
-            server.shutdown();
-        }
-    }
-}
-
-/// The server-routed workload families (PR 7): the same uniform request
-/// stream as `served/warm_solve`, but travelling the full fault-tolerant
-/// path — bounded queue, deadline check, health gate, `catch_unwind` —
-/// so the trajectory records what robustness costs per request.
-///
-/// * `served/server_warm/uniform` — a burst of requests through a
-///   one-worker [`Server`] with injection explicitly inert.  Runs the
-///   **zero-rejected gate**: at nominal load (burst ≤ queue capacity)
-///   nothing may be rejected or shed, or the harness exits non-zero.
-/// * `served/degraded/uniform` — the same burst against a force-degraded
-///   instance id: every answer is the serial-dictatorship fallback, timing
-///   the degraded path end to end.
-/// * `faults/chaos/uniform` — the burst under `panic:0.05,delay:1ms`
-///   injection (or `PM_FAULTS` when set).  Only runs when the `faults`
-///   feature is compiled in (`--features faults`); skipped with a notice
-///   otherwise, so the committed trajectory stays injection-free.
-///
-/// The server owns its worker threads (the executor sweep does not apply),
-/// so all three are measured at width 1 and report the server counters
-/// (served / rejected / shed / panics_recovered / degraded_responses) as
-/// extra fields.
-fn server_trajectory(
-    quick: bool,
-    reps: usize,
-    selected: &dyn Fn(&str) -> bool,
-    results: &mut Vec<JsonResult>,
-) {
-    use std::sync::Arc;
-
-    let server_sizes: &[usize] = if quick { &[10_000] } else { &[10_000, 100_000] };
-    let requests: usize = if quick { 8 } else { 16 };
-
-    // One burst of `requests` submits, then wait for every ticket; returns
-    // the degraded-answer count observed by the client side.
-    let burst = |server: &Server, inst: &Arc<PrefInstance>, id: u64| -> u64 {
-        let tickets: Vec<_> = (0..requests)
-            .map(|_| {
-                server
-                    .submit(Request::new(Arc::clone(inst), id))
-                    .expect("burst fits the queue capacity")
-            })
-            .collect();
-        let mut degraded = 0u64;
-        for t in tickets {
-            match t.wait() {
-                Ok(resp) => degraded += u64::from(resp.is_degraded()),
-                Err(ServeError::Faulted) => {}
-                Err(e) => panic!("server burst failed: {e}"),
-            }
-        }
-        degraded
-    };
-    let stats_extra = |server: &Server| -> Vec<(&'static str, u64)> {
-        let s = server.stats();
-        vec![
-            ("requests", requests as u64),
-            ("served", s.served),
-            ("rejected", s.rejected),
-            ("shed", s.shed),
-            ("panics_recovered", s.panics_recovered),
-            ("degraded_responses", s.degraded_responses),
-        ]
-    };
-
-    if selected("served/server_warm/uniform") {
-        for &n in server_sizes {
-            let inst = Arc::new(workloads::solvable_uniform(n));
-            let server = Server::start(ServerConfig {
-                workers: 1,
-                queue_capacity: requests,
-                faults: Spec::none(),
-                ..ServerConfig::default()
-            });
-
-            // Warm the worker's solver so the measured bursts are the
-            // steady serving state, like `served/warm_solve`.
-            burst(&server, &inst, 1);
-            let (_, t) = time_best(reps, || burst(&server, &inst, 1));
-
-            // Zero-rejected gate: a burst that fits the queue must never be
-            // rejected or shed at nominal, injection-free load.
-            let s = server.stats();
-            if s.rejected != 0 || s.shed != 0 {
-                eprintln!(
-                    "ZERO-REJECTED GATE FAILED: served/server_warm rejected {} and shed {} \
-                     requests at nominal load, n = {n} (expected 0 / 0)",
-                    s.rejected, s.shed
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "zero-rejected gate passed at n = {n} ({} requests served)",
-                s.served
-            );
-
-            results.push(JsonResult {
-                workload: "served/server_warm/uniform",
-                n,
-                wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3 / requests as f64)],
-                pram: None,
-                extra: stats_extra(&server),
-            });
-            server.shutdown();
-        }
-    }
-
-    if selected("served/degraded/uniform") {
-        for &n in server_sizes {
-            let inst = Arc::new(workloads::solvable_uniform(n));
-            let server = Server::start(ServerConfig {
-                workers: 1,
-                queue_capacity: requests,
-                backoff_max: std::time::Duration::from_secs(3600),
-                faults: Spec::none(),
-                ..ServerConfig::default()
-            });
-            server.force_degrade(1);
-
-            let degraded = burst(&server, &inst, 1);
-            assert_eq!(
-                degraded, requests as u64,
-                "a force-degraded id must answer every request degraded"
-            );
-            let (_, t) = time_best(reps, || burst(&server, &inst, 1));
-
-            results.push(JsonResult {
-                workload: "served/degraded/uniform",
-                n,
-                wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3 / requests as f64)],
-                pram: None,
-                extra: stats_extra(&server),
-            });
-            server.shutdown();
-        }
-    }
-
-    if selected("faults/chaos/uniform") {
-        if !Spec::compiled_in() {
-            eprintln!(
-                "faults/chaos/uniform skipped: fail points compiled out \
-                 (rebuild with `--features faults` to measure under injection)"
-            );
-        } else {
-            for &n in server_sizes {
-                let inst = Arc::new(workloads::solvable_uniform(n));
-                let spec = match std::env::var(pm_serve::faults::ENV_VAR) {
-                    Ok(s) if !s.trim().is_empty() => Spec::from_env(),
-                    _ => Spec::parse("panic:0.05,delay:1ms").expect("built-in spec parses"),
-                };
-                let server = Server::start(ServerConfig {
-                    workers: 2,
-                    queue_capacity: requests,
-                    faults: spec,
-                    ..ServerConfig::default()
-                });
-
-                burst(&server, &inst, 1);
-                let (_, t) = time_best(reps, || burst(&server, &inst, 1));
-
-                results.push(JsonResult {
-                    workload: "faults/chaos/uniform",
-                    n,
-                    wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3 / requests as f64)],
-                    pram: None,
-                    extra: stats_extra(&server),
-                });
-                server.shutdown();
-            }
-        }
-    }
-}
-
-/// The `cold/` workload family: the three ways a `PrefInstance` can come
-/// into existence, measured end to end on the same uniform workload —
-///
-/// * `cold/nested_build/uniform` — the nested `Vec<Vec<usize>>` path
-///   (`PrefInstance::new_strict`), including the per-applicant vector
-///   materialisation the nested API forces on every producer (modelled by
-///   cloning the lists inside the timed closure);
-/// * `cold/text_parse/uniform` — the streaming two-pass text parser;
-/// * `cold/snapshot_load/uniform` — the binary CSR snapshot loader.
-///
-/// Ingest is sequential, so these are measured at width 1 only (a thread
-/// sweep would record noise).  The snapshot load also runs an allocation
-/// gate under the counting allocator: one load must stay within
-/// [`COLD_ALLOC_BOUND`] allocations — essentially one per flat buffer plus
-/// the file read — or the harness exits non-zero.  A regression here means
-/// the loader started restructuring instead of filling flat buffers.
-const COLD_ALLOC_BOUND: u64 = 16;
-
-fn cold_trajectory(
-    quick: bool,
-    reps: usize,
-    selected: &dyn Fn(&str) -> bool,
-    results: &mut Vec<JsonResult>,
-) {
-    let want_nested = selected("cold/nested_build/uniform");
-    let want_text = selected("cold/text_parse/uniform");
-    let want_snapshot = selected("cold/snapshot_load/uniform");
-    if !(want_nested || want_text || want_snapshot) {
-        return;
-    }
-    let cold_sizes: &[usize] = if quick {
-        &[100_000]
-    } else {
-        &[100_000, 1_000_000]
-    };
-
-    for &n in cold_sizes {
-        let inst = workloads::solvable_uniform(n);
-
-        if want_nested {
-            let lists: Vec<Vec<usize>> = (0..inst.num_applicants())
-                .map(|a| inst.strict_list(a).expect("uniform workload is strict"))
-                .collect();
-            let num_posts = inst.num_posts();
-            let (built, t) = time_best(reps, || {
-                PrefInstance::new_strict(num_posts, lists.clone()).expect("valid workload")
-            });
-            assert_eq!(built, inst, "nested build must reproduce the instance");
-            results.push(JsonResult {
-                workload: "cold/nested_build/uniform",
-                n,
-                wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3)],
-                pram: None,
-                extra: vec![("bytes_per_entity", instance_bytes_per_entity(&inst))],
-            });
-        }
-
-        if want_text {
-            let text = pm_instances::io::text(&inst).to_string();
-            let (parsed, t) = time_best(reps, || {
-                pm_instances::io::parse(&text).expect("rendered text parses")
-            });
-            assert_eq!(parsed, inst, "text parse must reproduce the instance");
-            results.push(JsonResult {
-                workload: "cold/text_parse/uniform",
-                n,
-                wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3)],
-                pram: None,
-                extra: vec![("bytes_per_entity", instance_bytes_per_entity(&inst))],
-            });
-        }
-
-        if want_snapshot {
-            let path = std::env::temp_dir().join(format!("pm_bench_cold_{n}.pmsnap"));
-            pm_instances::snapshot::write_file(&inst, &path).expect("snapshot write");
-
-            // Allocation gate: one load, counted exactly.
-            let before = allocation_count();
-            let loaded = pm_instances::snapshot::read_file(&path).expect("snapshot read");
-            let allocs = allocation_count() - before;
-            assert_eq!(loaded, inst, "snapshot load must reproduce the instance");
-            drop(loaded);
-            if allocs > COLD_ALLOC_BOUND {
-                eprintln!(
-                    "COLD-ALLOC GATE FAILED: snapshot_load performed {allocs} allocations \
-                     at n = {n} (bound {COLD_ALLOC_BOUND}) — the loader is restructuring \
-                     instead of filling flat buffers"
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "cold-alloc gate passed at n = {n} \
-                 ({allocs} allocations per snapshot load, bound {COLD_ALLOC_BOUND})"
-            );
-
-            let (loaded, t) = time_best(reps, || {
-                pm_instances::snapshot::read_file(&path).expect("snapshot read")
-            });
-            std::fs::remove_file(&path).ok();
-            results.push(JsonResult {
-                workload: "cold/snapshot_load/uniform",
-                n,
-                wall_ms_by_threads: vec![(1, t.as_secs_f64() * 1e3)],
-                pram: None,
-                extra: vec![
-                    ("allocs_per_load", allocs),
-                    ("bytes_per_entity", instance_bytes_per_entity(&loaded)),
-                ],
-            });
-        }
-    }
-}
-
-fn render_json(
-    quick: bool,
-    threads: &[usize],
-    results: &[JsonResult],
-    baseline: Option<&str>,
-) -> String {
+fn render_json(bench: &Bench, results: &[JsonResult], baseline: Option<&str>) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"schema\": 6,\n");
     out.push_str("  \"harness\": \"pm_bench --json\",\n");
-    out.push_str(&format!("  \"quick\": {quick},\n"));
+    out.push_str(&format!("  \"quick\": {},\n", bench.quick));
     out.push_str(&format!(
         "  \"rayon_threads\": {},\n",
         rayon::current_num_threads()
     ));
     out.push_str(&format!(
         "  \"thread_sweep\": [{}],\n",
-        threads
+        bench
+            .threads
             .iter()
             .map(ToString::to_string)
             .collect::<Vec<_>>()
@@ -2036,17 +1700,18 @@ fn render_json(
     ));
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
-        let mut pram = match r.pram {
+        let mut pram = match r.row.pram {
             Some((depth, work)) => format!(", \"depth\": {depth}, \"work\": {work}"),
             None => String::new(),
         };
-        for (key, value) in &r.extra {
+        for (key, value) in &r.row.extra {
             pram.push_str(&format!(", \"{key}\": {value}"));
         }
         // `wall_ms` stays the 1-thread number so the trajectory remains
         // comparable with the sequential-shim history of this file.
         let by_threads = r
-            .wall_ms_by_threads
+            .row
+            .wall
             .iter()
             .map(|&(t, ms)| format!("\"{t}\": {}", fmt_ms(ms)))
             .collect::<Vec<_>>()
@@ -2056,9 +1721,9 @@ fn render_json(
              \"wall_ms_by_threads\": {{{}}}, \"speedup_vs_1\": {:.2}{}}}{}\n",
             r.workload,
             r.n,
-            fmt_ms(r.wall_ms_1()),
+            fmt_ms(r.row.wall_ms_1()),
             by_threads,
-            r.speedup_vs_1(),
+            r.row.speedup_vs_1(),
             pram,
             if i + 1 < results.len() { "," } else { "" }
         ));
@@ -2134,7 +1799,7 @@ fn post(inst: &PrefInstance, p: usize) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{fmt_ms, parse_args, Cli};
+    use super::{extract_object, fmt_ms, glob_match, parse_args, zero_alloc_gate, Cli, WORKLOADS};
 
     fn parse(line: &str) -> Result<Cli, String> {
         parse_args(line.split_whitespace().map(String::from))
@@ -2178,5 +1843,106 @@ mod tests {
         assert_eq!(fmt_ms(0.00127), "0.00127");
         assert_eq!(fmt_ms(0.000772), "0.000772");
         assert_eq!(fmt_ms(0.0), "0.000");
+    }
+
+    #[test]
+    fn glob_match_selects_by_wildcard() {
+        for (pattern, text, want) in [
+            ("served/*", "served/incremental/edit_churn", true),
+            ("served/*", "layout/warm_solve/on", false),
+            ("served/*/uniform", "served/warm_solve/uniform", true),
+            ("served/*/uniform", "served/incremental/edit_churn", false),
+            (
+                "served/incremental*",
+                "served/incremental/mixed_churn",
+                true,
+            ),
+            ("served/incremental*", "served/batch/uniform", false),
+            (
+                "cold/snapshot_load/uniform",
+                "cold/snapshot_load/uniform",
+                true,
+            ),
+            ("", "", true),
+            ("", "cold/text_parse/uniform", false),
+        ] {
+            assert_eq!(glob_match(pattern, text), want, "{pattern:?} on {text:?}");
+        }
+    }
+
+    #[test]
+    fn extract_object_returns_the_balanced_object_verbatim() {
+        let baseline = r#"{"note": "pre-refactor", "results": [
+    {"workload": "w", "n": 10, "wall_ms_by_threads": {"1": 2.5}}
+  ]}"#;
+        let head = r#"{
+  "schema": 6,
+  "results": [
+    {"workload": "w", "n": 10, "wall_ms_by_threads": {"1": 1.5}}
+  ],
+  "baseline": "#;
+        let text = [head, baseline, "\n}\n"].concat();
+        assert_eq!(extract_object(&text, "baseline").as_deref(), Some(baseline));
+        assert_eq!(extract_object(&text, "missing"), None);
+    }
+
+    #[test]
+    fn workload_table_matches_the_committed_full_sweep() {
+        // Top-level rows only: the preserved `baseline` object follows them.
+        let committed = include_str!("../../../../BENCH_popular.json");
+        let top = committed.split("\"baseline\"").next().unwrap();
+        let mut want: Vec<(&str, usize)> = top
+            .split("{\"workload\": \"")
+            .skip(1)
+            .map(|row| {
+                let (name, rest) = row.split_once('"').unwrap();
+                let n = rest.split("\"n\": ").nth(1).unwrap().split(',').next();
+                (name, n.unwrap().parse().unwrap())
+            })
+            .collect();
+        // The chaos family only runs with the `faults` feature, which the
+        // committed trajectory never enables.
+        let mut got: Vec<(&str, usize)> = WORKLOADS
+            .iter()
+            .filter(|&&(name, ..)| name != "faults/chaos/uniform")
+            .flat_map(|&(name, (_, full), _)| full.iter().map(move |&n| (name, n)))
+            .collect();
+        assert_eq!(want.len(), 41);
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn workload_names_are_unique_and_every_ci_glob_selects_one() {
+        let mut names: Vec<&str> = WORKLOADS.iter().map(|w| w.0).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), WORKLOADS.len());
+        let ci = include_str!("../../../../.github/workflows/ci.yml");
+        let globs: Vec<&str> = ci
+            .split("--workloads '")
+            .skip(1)
+            .map(|rest| rest.split('\'').next().unwrap())
+            .collect();
+        assert!(globs.len() >= 6, "{globs:?}");
+        for glob in globs {
+            assert!(names.iter().any(|name| glob_match(glob, name)), "{glob}");
+        }
+    }
+
+    #[test]
+    fn zero_alloc_gate_rejects_a_lap_that_allocates() {
+        // Only the failing direction: other test threads can add
+        // allocations to the process-wide count, never remove them.
+        let err = zero_alloc_gate("allocating lap", 7, || {
+            std::hint::black_box(vec![0u8; 64]);
+        })
+        .unwrap_err();
+        assert!(
+            err.starts_with("ZERO-ALLOC GATE FAILED: allocating lap"),
+            "{err}"
+        );
+        assert!(err.contains("n = 7"), "{err}");
     }
 }
