@@ -52,9 +52,10 @@
 //! workload to reach FLOOR× speedup at the widest swept width, downgrading
 //! to a warning when the runner has fewer hardware threads than that width.
 //! `--profile` (its own mode, takes precedence) prints the per-kernel phase
-//! clock — reduce / algorithm2 / promote / census / jump wall time per warm
+//! table — reduce / algorithm2 / promote / census / jump wall time per warm
 //! solve, plus the Hopcroft–Karp referee's bfs / dfs / augment phases per
-//! warm `solve_ties` — via `pm_popular::profile`.  An unknown flag, a
+//! warm `solve_ties` — summed from each solve's
+//! [`PopularSolver::phase_times`].  An unknown flag, a
 //! value flag without its value, or a `--workloads` glob that selects no
 //! workload prints the usage line and exits 2 without writing anything.
 
@@ -117,9 +118,7 @@ use pm_popular::delta::{DeltaMode, DeltaSolver};
 use pm_popular::instance::PrefInstance;
 use pm_popular::max_cardinality::maximum_cardinality_popular_matching_nc;
 use pm_popular::optimal::{fair_popular_matching, rank_maximal_popular_matching};
-use pm_popular::profile::{
-    enable_phase_timings, phase_timings, reset_phase_timings, Profile, SolvePhase,
-};
+use pm_popular::profile::Profile;
 use pm_popular::relabel::{Relabeled, RelabeledSolver};
 use pm_popular::sequential::popular_matching_sequential;
 use pm_popular::solver::PopularSolver;
@@ -127,7 +126,7 @@ use pm_popular::switching::{ComponentKind, SwitchingGraph};
 use pm_popular::ties::popular_matching_rank1;
 use pm_popular::verify::is_popular_characterization;
 use pm_popular::PopularError;
-use pm_pram::DepthTracker;
+use pm_pram::{DepthTracker, Phase, PhaseTimes};
 use pm_serve::faults::Spec;
 use pm_serve::{DeltaRequest, Request, ServeError, Server, ServerConfig, SolveMode, StatsSnapshot};
 use pm_stable::next::{next_stable_matchings, NextStableOutcome};
@@ -1596,39 +1595,31 @@ fn assert_speedup_floor(results: &[JsonResult], threads: &[usize], floor: f64) {
 /// Warm laps per `--profile` row.
 const PROFILE_REPS: u32 = 5;
 
-/// `--profile`: the per-kernel phase clock (pm_popular::profile) over warm
-/// solves.  Census and Jump are sub-spans *inside* Algorithm 2, so the
-/// columns of the first table do not sum to the total; the clock itself is
-/// two relaxed atomics per span, so the numbers below are the same solves
-/// the trajectory file times.
+/// `--profile`: each warm solve's own phase table
+/// ([`PopularSolver::phase_times`]), summed over the laps.  Census and Jump
+/// are sub-spans *inside* Algorithm 2, so the columns of the first table do
+/// not sum to the total; a span is one clock pair and one relaxed add, so
+/// the numbers below are the same solves the trajectory file times.
 fn print_profile(quick: bool) {
     let sizes = if quick { SOLVE_SIZES.0 } else { SOLVE_SIZES.1 };
     println!(
         "<!-- harness --profile: {} rayon threads, {PROFILE_REPS} warm solves per size -->\n",
         rayon::current_num_threads()
     );
-    let mut t = Table::new(
+    let phases = [
+        Phase::Reduce,
+        Phase::Algorithm2,
+        Phase::Promote,
+        Phase::Census,
+        Phase::Jump,
+    ];
+    let mut t = phase_table(
         "Per-kernel phase wall time, ms per warm solve (census/jump nest inside algorithm2)",
-        &[
-            "n",
-            "reduce",
-            "algorithm2",
-            "promote",
-            "census",
-            "jump",
-            "total",
-        ],
+        &phases,
     );
     for &n in sizes {
         let inst = workloads::solvable_uniform(n);
         let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
-        let phases = [
-            SolvePhase::Reduce,
-            SolvePhase::Algorithm2,
-            SolvePhase::Promote,
-            SolvePhase::Census,
-            SolvePhase::Jump,
-        ];
         t.row(phase_row(n, &phases, || {
             black_box(
                 solver
@@ -1636,46 +1627,58 @@ fn print_profile(quick: bool) {
                     .expect("solvable workload")
                     .num_applicants(),
             );
+            solver.phase_times()
         }));
     }
     t.print();
 
     // The Hopcroft–Karp referee of the ties pipeline, same protocol: warm
-    // `solve_ties` laps on the bipartite workload with the clock enabled.
+    // `solve_ties` laps on the bipartite workload.
     // hk_dfs covers the layered search *including* its in-place path flips;
     // hk_augment is the final matching write-out, so the three phases
     // partition the referee.
-    let mut t2 = Table::new(
+    let phases = [Phase::HkBfs, Phase::HkDfs, Phase::HkAugment];
+    let mut t2 = phase_table(
         "Hopcroft–Karp referee phases, ms per warm solve_ties (bipartite, expected degree 4)",
-        &["n", "hk_bfs", "hk_dfs", "hk_augment", "total"],
+        &phases,
     );
     for &n in sizes {
         let g = workloads::bipartite(n);
         let mut solver = PopularSolver::new(0, 0);
-        let phases = [SolvePhase::HkBfs, SolvePhase::HkDfs, SolvePhase::HkAugment];
         t2.row(phase_row(n, &phases, || {
             black_box(solver.solve_ties(&g).expect("valid ties graph").size());
+            solver.phase_times()
         }));
     }
     t2.print();
 }
 
+/// A `--profile` table: `n`, one column per phase, then the lap total.
+fn phase_table(title: &str, phases: &[Phase]) -> Table {
+    let mut headers = vec!["n"];
+    headers.extend(phases.iter().map(|p| p.name()));
+    headers.push("total");
+    Table::new(title, &headers)
+}
+
 /// One `--profile` row: `n`, then each of `phases` and the total wall time
-/// in ms per lap over [`PROFILE_REPS`] laps with the phase clock on.  One
-/// untimed lap first warms the workspace, so the totals describe
-/// steady-state serving, not first-touch page faults.
-fn phase_row(n: usize, phases: &[SolvePhase], mut lap: impl FnMut()) -> Vec<String> {
+/// in ms per lap over [`PROFILE_REPS`] laps, each lap returning its solve's
+/// phase table.  One untimed lap first warms the workspace, so the totals
+/// describe steady-state serving, not first-touch page faults.
+fn phase_row(n: usize, phases: &[Phase], mut lap: impl FnMut() -> PhaseTimes) -> Vec<String> {
     lap();
-    reset_phase_timings();
-    enable_phase_timings(true);
+    let mut sums = vec![Duration::ZERO; phases.len()];
     let start = Instant::now();
-    (0..PROFILE_REPS).for_each(|_| lap());
+    for _ in 0..PROFILE_REPS {
+        let times = lap();
+        for (sum, &p) in sums.iter_mut().zip(phases) {
+            *sum += times.get(p);
+        }
+    }
     let total_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(PROFILE_REPS);
-    enable_phase_timings(false);
-    let timings = phase_timings();
     let per_lap = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1e3 / f64::from(PROFILE_REPS));
     let mut row = vec![n.to_string()];
-    row.extend(phases.iter().map(|&p| per_lap(timings.get(p))));
+    row.extend(sums.into_iter().map(per_lap));
     row.push(format!("{total_ms:.3}"));
     row
 }

@@ -7,8 +7,7 @@
 //! and by the brute-force popularity verifier for small instances.
 
 use pm_graph::BipartiteGraph;
-use pm_pram::phaseclock::{self, slot};
-use pm_pram::Idx;
+use pm_pram::{DepthTracker, Idx, Phase};
 
 use crate::matching::Matching;
 
@@ -45,7 +44,7 @@ struct RightState {
 /// algorithm in `O(E √V)` time.
 pub fn hopcroft_karp(g: &BipartiteGraph) -> Matching {
     let mut out = Matching::empty(0, 0);
-    hopcroft_karp_into(g, &mut out, &mut HkScratch::default());
+    hopcroft_karp_into(g, &mut out, &mut HkScratch::default(), &DepthTracker::new());
     out
 }
 
@@ -66,8 +65,15 @@ pub struct HkScratch {
 /// Allocation-free Hopcroft–Karp: all storage is caller-provided via
 /// [`HkScratch`], and the result is written into `out` via
 /// [`Matching::reset`].  The matching produced is bit-for-bit the one
-/// [`hopcroft_karp`] returns.
-pub fn hopcroft_karp_into(g: &BipartiteGraph, out: &mut Matching, ws: &mut HkScratch) {
+/// [`hopcroft_karp`] returns.  The sweeps' wall time goes to `tracker`'s
+/// [`Phase::HkBfs`], [`Phase::HkDfs`] and [`Phase::HkAugment`] spans; no
+/// depth or work is charged.
+pub fn hopcroft_karp_into(
+    g: &BipartiteGraph,
+    out: &mut Matching,
+    ws: &mut HkScratch,
+    tracker: &DepthTracker,
+) {
     let n_left = g.n_left();
     let n_right = g.n_right();
     let HkScratch {
@@ -93,7 +99,7 @@ pub fn hopcroft_karp_into(g: &BipartiteGraph, out: &mut Matching, ws: &mut HkScr
         let found_augmenting_layer;
         let free_before;
         {
-            let _bfs = phaseclock::span(slot::HK_BFS);
+            let _bfs = tracker.span(Phase::HkBfs);
             queue.clear();
             let mut head = 0usize;
             for st in rights.iter_mut() {
@@ -130,7 +136,7 @@ pub fn hopcroft_karp_into(g: &BipartiteGraph, out: &mut Matching, ws: &mut HkScr
         // augmenting paths.  The path flips happen in place inside `dfs`,
         // so the `hk_dfs` span covers both the search and the augmenting
         // rewrites; `hk_augment` below is the final matching write-out.
-        let _dfs = phaseclock::span(slot::HK_DFS);
+        let _dfs = tracker.span(Phase::HkDfs);
         let mut augments = 0usize;
         for l in 0..n_left {
             if match_left[l] == FREE && dfs(l, 0, FREE, g, match_left, rights) {
@@ -143,7 +149,7 @@ pub fn hopcroft_karp_into(g: &BipartiteGraph, out: &mut Matching, ws: &mut HkScr
         }
     }
 
-    let _aug = phaseclock::span(slot::HK_AUGMENT);
+    let _aug = tracker.span(Phase::HkAugment);
     out.reset(n_left, n_right);
     for (l, &r) in match_left.iter().enumerate() {
         if r != FREE {
@@ -253,6 +259,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         let mut out = Matching::empty(0, 0);
         let mut ws = HkScratch::default();
+        let tracker = DepthTracker::new();
         for _ in 0..20 {
             let n = rng.random_range(1..40);
             let mut edges = Vec::new();
@@ -261,7 +268,7 @@ mod tests {
                 edges.push((l, rng.random_range(0..n)));
             }
             let g = BipartiteGraph::from_edges(n, n, &edges);
-            hopcroft_karp_into(&g, &mut out, &mut ws);
+            hopcroft_karp_into(&g, &mut out, &mut ws, &tracker);
             let want = hopcroft_karp(&g);
             assert_eq!(out.left_assignment(), want.left_assignment());
         }

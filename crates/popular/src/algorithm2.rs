@@ -25,7 +25,7 @@ use rayon::prelude::*;
 use pm_pram::compact::compact_indices_fused_into_idx;
 use pm_pram::pointer::{min_label_cycles_idx, pointer_jump_roots_into_idx};
 use pm_pram::scan::csr_offsets_census_into_u32;
-use pm_pram::tracker::DepthTracker;
+use pm_pram::tracker::{DepthTracker, Phase};
 use pm_pram::{par_chunk_len_bytes, Idx, Workspace, SEQUENTIAL_CUTOFF};
 
 use crate::instance::Assignment;
@@ -112,7 +112,7 @@ pub fn applicant_complete_matching_into(
     let mut adj_off = ws.take_u32_empty();
     let mut chunk_scratch = ws.take_u32_empty();
     let census = {
-        let _span = crate::profile::time_phase(crate::profile::SolvePhase::Census);
+        let _span = tracker.span(Phase::Census);
         let (_, census) = csr_offsets_census_into_u32(
             &counts,
             &mut adj_off,
@@ -242,7 +242,7 @@ pub fn applicant_complete_matching_into(
         // List-rank every arc: distance and endpoint of its walk (double
         // buffers persist across peeling rounds — no per-round allocation).
         {
-            let _span = crate::profile::time_phase(crate::profile::SolvePhase::Jump);
+            let _span = tracker.span(Phase::Jump);
             pointer_jump_roots_into_idx(
                 &succ,
                 &mut jump_root,
@@ -426,7 +426,7 @@ pub fn applicant_complete_matching_into(
         let mut label_scratch = ws.take_idx_dirty(num_arcs2, Idx::ZERO);
         let mut ptr_scratch = ws.take_idx_dirty(num_arcs2, Idx::ZERO);
         {
-            let _span = crate::profile::time_phase(crate::profile::SolvePhase::Jump);
+            let _span = tracker.span(Phase::Jump);
             min_label_cycles_idx(
                 &mut label,
                 &mut ptr,

@@ -1,5 +1,4 @@
-//! Matching profiles and the `≻_R` / `≺_F` orders (Section IV-E), plus the
-//! per-kernel phase clock the bench harness surfaces as `--profile`.
+//! Matching profiles and the `≻_R` / `≺_F` orders (Section IV-E).
 //!
 //! The *profile* of a matching is the vector `(x₁, …, x_{n₂+1})` where `x_i`
 //! counts the applicants matched to their `i`-th ranked post; an applicant on
@@ -9,127 +8,8 @@
 //! minimises it in the right-to-left order `≺_F`.
 
 use std::cmp::Ordering;
-use std::time::Duration;
-
-use pm_pram::phaseclock::{self, slot};
 
 use crate::instance::{Assignment, PrefInstance};
-
-/// The timed kernels of the solve pipeline.  [`Reduce`](SolvePhase::Reduce),
-/// [`Algorithm2`](SolvePhase::Algorithm2) and [`Promote`](SolvePhase::Promote)
-/// partition a solve top-to-bottom; [`Census`](SolvePhase::Census) (the fused
-/// offsets-plus-census scan) and [`Jump`](SolvePhase::Jump) (pointer
-/// jumping / min-label doubling) are sub-spans *inside* Algorithm 2; the
-/// three `Hk*` phases partition the Hopcroft–Karp referee of the ties
-/// pipeline (`solve_ties` / the rank-1 reduction).  The entries therefore do
-/// not sum to any single pipeline's wall time.
-///
-/// This enum is the typed front door of the process-global clock in
-/// [`pm_pram::phaseclock`] — the accumulators live one crate below so that
-/// `pm_matching` (which `pm_popular` depends on, not the reverse) can charge
-/// the referee's spans into the same table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SolvePhase {
-    /// Reduced-graph construction (`build_into`).
-    Reduce,
-    /// Algorithm 2 end to end (CSR build, peeling, even-cycle finish).
-    Algorithm2,
-    /// The promotion pass of Algorithm 1.
-    Promote,
-    /// The fused CSR-offsets + degree-census scan inside Algorithm 2.
-    Census,
-    /// List ranking: pointer jumping and min-label cycle doubling.
-    Jump,
-    /// Hopcroft–Karp BFS layering sweeps.
-    HkBfs,
-    /// Hopcroft–Karp layered DFS sweeps (path search + in-place flips).
-    HkDfs,
-    /// Hopcroft–Karp final matching write-out.
-    HkAugment,
-}
-
-impl SolvePhase {
-    /// Number of phases (the size of a [`PhaseTimings`] table).
-    pub const COUNT: usize = phaseclock::PHASE_SLOTS;
-    /// Every phase, in display order.
-    pub const ALL: [SolvePhase; Self::COUNT] = [
-        SolvePhase::Reduce,
-        SolvePhase::Algorithm2,
-        SolvePhase::Promote,
-        SolvePhase::Census,
-        SolvePhase::Jump,
-        SolvePhase::HkBfs,
-        SolvePhase::HkDfs,
-        SolvePhase::HkAugment,
-    ];
-
-    /// Stable lowercase name (used as the JSON key by the harness).
-    pub fn name(self) -> &'static str {
-        match self {
-            SolvePhase::Reduce => "reduce",
-            SolvePhase::Algorithm2 => "algorithm2",
-            SolvePhase::Promote => "promote",
-            SolvePhase::Census => "census",
-            SolvePhase::Jump => "jump",
-            SolvePhase::HkBfs => "hk_bfs",
-            SolvePhase::HkDfs => "hk_dfs",
-            SolvePhase::HkAugment => "hk_augment",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            SolvePhase::Reduce => slot::REDUCE,
-            SolvePhase::Algorithm2 => slot::ALGORITHM2,
-            SolvePhase::Promote => slot::PROMOTE,
-            SolvePhase::Census => slot::CENSUS,
-            SolvePhase::Jump => slot::JUMP,
-            SolvePhase::HkBfs => slot::HK_BFS,
-            SolvePhase::HkDfs => slot::HK_DFS,
-            SolvePhase::HkAugment => slot::HK_AUGMENT,
-        }
-    }
-}
-
-/// Turns the phase clock on or off (off by default).
-pub fn enable_phase_timings(on: bool) {
-    phaseclock::enable(on);
-}
-
-/// Zeroes every phase accumulator.
-pub fn reset_phase_timings() {
-    phaseclock::reset();
-}
-
-/// Snapshot of the accumulated per-phase wall time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhaseTimings(pub [Duration; SolvePhase::COUNT]);
-
-impl PhaseTimings {
-    /// The accumulated time of one phase.
-    pub fn get(&self, phase: SolvePhase) -> Duration {
-        self.0[phase.index()]
-    }
-
-    /// `(name, duration)` pairs in display order.
-    pub fn entries(&self) -> [(&'static str, Duration); SolvePhase::COUNT] {
-        SolvePhase::ALL.map(|p| (p.name(), self.get(p)))
-    }
-}
-
-/// Reads the current accumulated phase timings.
-pub fn phase_timings() -> PhaseTimings {
-    PhaseTimings(SolvePhase::ALL.map(|p| Duration::from_nanos(phaseclock::nanos(p.index()))))
-}
-
-/// An RAII span: adds its elapsed wall time to its phase on drop.  A no-op
-/// (one relaxed load, no clock read) while the phase clock is disabled.
-pub type PhaseSpan = phaseclock::PhaseSpan;
-
-/// Opens a timing span for `phase` (see [`PhaseSpan`]).
-pub fn time_phase(phase: SolvePhase) -> PhaseSpan {
-    phaseclock::span(phase.index())
-}
 
 /// The profile vector of a matching (index `i` = count at rank `i + 1`;
 /// the final entry counts last resorts).
@@ -238,34 +118,6 @@ mod tests {
         // -> c is smaller there, so c ≺_F a.
         assert_eq!(c.cmp_fair(&a), Ordering::Less);
         assert_eq!(a.cmp_fair(&c), Ordering::Greater);
-    }
-
-    #[test]
-    fn phase_clock_accumulates_only_while_enabled() {
-        // Disabled (the default): spans are no-ops.
-        reset_phase_timings();
-        {
-            let _g = time_phase(SolvePhase::Census);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert_eq!(
-            phase_timings().get(SolvePhase::Census),
-            std::time::Duration::ZERO
-        );
-
-        // Enabled: the span's elapsed time lands in its cell.  Other tests
-        // in this process may add to the cells concurrently, so assert
-        // monotonic growth, not exact values.
-        enable_phase_timings(true);
-        {
-            let _g = time_phase(SolvePhase::Census);
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        let after = phase_timings();
-        enable_phase_timings(false);
-        assert!(after.get(SolvePhase::Census) >= std::time::Duration::from_millis(2));
-        assert_eq!(after.entries()[3].0, "census");
-        assert_eq!(SolvePhase::ALL.len(), SolvePhase::COUNT);
     }
 
     #[test]

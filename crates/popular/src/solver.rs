@@ -25,7 +25,7 @@ use pm_graph::BipartiteGraph;
 use pm_matching::hopcroft_karp::{hopcroft_karp_into, HkScratch};
 use pm_matching::matching::Matching;
 use pm_pram::tracker::DepthTracker;
-use pm_pram::{Idx, PramStats, Workspace};
+use pm_pram::{Idx, Phase, PhaseTimes, PramStats, Workspace};
 
 use crate::algorithm1::promote_into;
 use crate::algorithm2::applicant_complete_matching_into;
@@ -45,8 +45,9 @@ pub const BATCH_FANOUT_MIN_CHUNK: usize = 3;
 /// A reusable popular-matching solver (see the module docs).
 ///
 /// All entry points reset the internal [`DepthTracker`] and record the
-/// depth/work of the last call only ([`stats`](PopularSolver::stats));
-/// `solve_batch` records the batch's summed totals.  Results are returned
+/// depth/work and per-phase wall time of the last call only
+/// ([`stats`](PopularSolver::stats), [`phase_times`](PopularSolver::phase_times));
+/// `solve_batch` records the batch's summed depth/work.  Results are returned
 /// by reference into solver-owned buffers — clone them (or
 /// [`take_matching`](PopularSolver::take_matching)) if they must outlive
 /// the next call.
@@ -153,7 +154,7 @@ impl PopularSolver {
         self.tracker.phase();
         self.tracker.round();
         self.tracker.work(g.num_edges() as u64);
-        hopcroft_karp_into(g, &mut self.ties_out, &mut self.hk_scratch);
+        hopcroft_karp_into(g, &mut self.ties_out, &mut self.hk_scratch, &self.tracker);
         self.ws.end_epoch();
         Ok(&self.ties_out)
     }
@@ -236,6 +237,14 @@ impl PopularSolver {
         self.tracker.stats()
     }
 
+    /// Per-[`Phase`] wall time of the last call.  After
+    /// [`solve_batch`](Self::solve_batch) the table is zero: the members
+    /// run concurrently on sub-solvers, so their spans do not partition
+    /// the batch's wall time.
+    pub fn phase_times(&self) -> PhaseTimes {
+        self.tracker.phase_times()
+    }
+
     /// Moves the last solve's matching out of the solver without cloning
     /// (the output buffer is replaced by an empty one).  The free-function
     /// wrappers use this to return an owned [`Assignment`] from a solver
@@ -283,7 +292,7 @@ impl PopularSolver {
     /// `solve_max_cardinality`.
     fn solve_algorithm1(&mut self, inst: &PrefInstance) -> Result<(), PopularError> {
         {
-            let _span = crate::profile::time_phase(crate::profile::SolvePhase::Reduce);
+            let _span = self.tracker.span(Phase::Reduce);
             build_into(
                 inst,
                 &mut self.f,
@@ -294,7 +303,7 @@ impl PopularSolver {
         }
         self.out.reset_unassigned(inst.num_applicants());
         let (feasible, peel_rounds) = {
-            let _span = crate::profile::time_phase(crate::profile::SolvePhase::Algorithm2);
+            let _span = self.tracker.span(Phase::Algorithm2);
             applicant_complete_matching_into(
                 inst.total_posts(),
                 &self.f,
@@ -308,7 +317,7 @@ impl PopularSolver {
         if !feasible {
             return Err(PopularError::NoPopularMatching);
         }
-        let _span = crate::profile::time_phase(crate::profile::SolvePhase::Promote);
+        let _span = self.tracker.span(Phase::Promote);
         promote_into(
             &self.f,
             &self.s,

@@ -44,7 +44,6 @@
 
 pub mod compact;
 pub mod idx;
-pub mod phaseclock;
 pub mod pointer;
 pub mod reduce;
 pub mod scan;
@@ -67,7 +66,7 @@ pub use scan::{
     DegreeCensus,
 };
 pub use scheduler::RoundScheduler;
-pub use tracker::{DepthTracker, LocalWork, PramStats};
+pub use tracker::{DepthTracker, LocalWork, Phase, PhaseSpan, PhaseTimes, PramStats};
 pub use workspace::{EpochMap, EpochMarks, Workspace};
 
 /// The threshold below which the primitives fall back to a purely sequential

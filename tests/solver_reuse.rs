@@ -6,7 +6,11 @@
 //! warm zero-allocation path safe to serve from: reuse may never leak state
 //! from one request into the next.
 
+use std::sync::Barrier;
+use std::time::{Duration, Instant};
+
 use pm_popular::ties::popular_matching_rank1;
+use pm_pram::Phase;
 use popular_matchings::prelude::*;
 use rayon::ThreadPoolBuilder;
 
@@ -225,4 +229,77 @@ fn batch_error_paths_do_not_corrupt_siblings_at_width_1() {
 #[test]
 fn batch_error_paths_do_not_corrupt_siblings_at_width_4() {
     run_batch_error_isolation(4);
+}
+
+/// Two solvers solving at the same time on two threads each keep their own
+/// phase table.  Every span nests inside its own solver's call, so the
+/// child phases fit inside their parent and the top-level phases inside the
+/// wall time around the call, however the host schedules the threads; a
+/// table that other solves add into would break the second fact whenever
+/// the two solves overlap.
+fn run_concurrent_phase_tables(threads: usize) {
+    let n = 10_000;
+    let inst = generators::solvable(&GeneratorConfig {
+        num_applicants: n,
+        num_posts: n + n / 8 + 1,
+        list_len: 4,
+        seed: 41,
+    });
+    let g = generators::random_bipartite(n, n, 4.0 / n as f64, 43);
+    let start_together = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                pool(threads).install(|| check_own_phase_tables(&inst, &g, &start_together))
+            });
+        }
+    });
+}
+
+fn check_own_phase_tables(inst: &PrefInstance, g: &BipartiteGraph, start_together: &Barrier) {
+    let mut solver = PopularSolver::new(0, 0);
+    for _ in 0..3 {
+        start_together.wait();
+        let start = Instant::now();
+        solver.solve(inst).expect("solvable instance");
+        let wall = start.elapsed();
+        let t = solver.phase_times();
+        let [reduce, alg2, promote, census, jump] = [
+            Phase::Reduce,
+            Phase::Algorithm2,
+            Phase::Promote,
+            Phase::Census,
+            Phase::Jump,
+        ]
+        .map(|p| t.get(p));
+        assert!(
+            [reduce, alg2, promote, census, jump]
+                .iter()
+                .all(|d| !d.is_zero()),
+            "{t:?}"
+        );
+        assert!(census + jump <= alg2, "{t:?}");
+        assert!(reduce + alg2 + promote <= wall, "{t:?} vs {wall:?}");
+        assert!(t.get(Phase::HkBfs).is_zero(), "{t:?}");
+
+        start_together.wait();
+        let start = Instant::now();
+        solver.solve_ties(g).expect("every left vertex has an edge");
+        let wall = start.elapsed();
+        let t = solver.phase_times();
+        let hk = [Phase::HkBfs, Phase::HkDfs, Phase::HkAugment].map(|p| t.get(p));
+        assert!(hk.iter().all(|d| !d.is_zero()), "{t:?}");
+        assert!(hk.iter().sum::<Duration>() <= wall, "{t:?} vs {wall:?}");
+        assert!(t.get(Phase::Algorithm2).is_zero(), "{t:?}");
+    }
+}
+
+#[test]
+fn concurrent_solvers_keep_their_own_phase_tables_at_width_1() {
+    run_concurrent_phase_tables(1);
+}
+
+#[test]
+fn concurrent_solvers_keep_their_own_phase_tables_at_width_4() {
+    run_concurrent_phase_tables(4);
 }
