@@ -60,41 +60,60 @@
 //! workload prints the usage line and exits 2 without writing anything.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pm_bench::workloads;
 use pm_bench::{ms, time_best, Table};
 
 /// Number of heap allocations observed process-wide (relaxed; exact when
-/// read around a single-threaded region, which is how the zero-allocation
-/// gate uses it).
+/// read around a single-threaded region, which is how the cold-ingest gate
+/// uses it).
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Number of heap allocations made by the current thread: the count
+    /// behind the zero-allocation gates, which no other thread (a pool
+    /// worker starting up, say) can add to.
+    static THREAD_ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
 }
 
+fn thread_allocation_count() -> u64 {
+    THREAD_ALLOCATIONS.with(Cell::get)
+}
+
+/// Adds one allocation to both counts.  The thread-local is `const`
+/// initialised, so touching it from inside the allocator allocates nothing.
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    THREAD_ALLOCATIONS.with(|c| c.set(c.get() + 1));
+}
+
 /// A [`System`] allocator that counts every allocation (including
 /// `realloc`/`alloc_zeroed`) — the measuring instrument behind the
-/// `served/` zero-allocation gate.
+/// `served/` zero-allocation gate and the cold-ingest gate.
 struct CountingAllocator;
 
 // SAFETY: every method delegates verbatim to `System`; the only addition is
-// a relaxed counter increment, which allocates nothing and has no effect on
-// the returned memory.
+// a relaxed counter increment and a thread-local cell bump, which allocate
+// nothing and have no effect on the returned memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -1039,33 +1058,44 @@ fn gate_failed(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// The zero-allocation gate: at width 1, repeats `lap` until one lap
-/// allocates nothing (pooled buffers settle their capacity within a few
+/// The zero-allocation gate: at width `threads`, repeats `lap` until one
+/// lap allocates nothing (pooled buffers settle their capacity within a few
 /// laps; 10 is far beyond it), then three more laps must not touch the
 /// allocator at all.  Returns their allocation count, which is 0, or the
 /// failure message.
-fn zero_alloc_gate(label: &str, n: usize, mut lap: impl FnMut()) -> Result<u64, String> {
-    let pool1 = pool(1);
+///
+/// It counts the calling thread's allocations only.  At width 1 the
+/// executor runs every parallel call inline on that thread, so the count
+/// is every allocation of the lap; at a wider width a fan-out allocates
+/// its batch on the caller, so the count sees any fan-out, while a pool
+/// worker's own start-up never lands in the window.
+fn zero_alloc_gate(
+    label: &str,
+    n: usize,
+    threads: usize,
+    mut lap: impl FnMut(),
+) -> Result<u64, String> {
+    let pool = pool(threads);
     let mut warmups = 0u32;
     loop {
-        let before = allocation_count();
-        pool1.install(&mut lap);
+        let before = thread_allocation_count();
+        pool.install(&mut lap);
         warmups += 1;
-        if allocation_count() == before || warmups >= 10 {
+        if thread_allocation_count() == before || warmups >= 10 {
             break;
         }
     }
-    let before = allocation_count();
-    pool1.install(|| (0..3).for_each(|_| lap()));
-    let allocs = allocation_count() - before;
+    let before = thread_allocation_count();
+    pool.install(|| (0..3).for_each(|_| lap()));
+    let allocs = thread_allocation_count() - before;
     if allocs != 0 {
         return Err(format!(
             "ZERO-ALLOC GATE FAILED: {label} performed {allocs} allocations over 3 laps \
-             at n = {n} after {warmups} warm-ups (expected 0)"
+             at n = {n}, width {threads}, after {warmups} warm-ups (expected 0)"
         ));
     }
     eprintln!(
-        "zero-alloc gate passed at n = {n} for {label} \
+        "zero-alloc gate passed at n = {n}, width {threads}, for {label} \
          (0 allocations across 3 warm laps, {warmups} warm-ups to steady state)"
     );
     Ok(allocs)
@@ -1153,7 +1183,7 @@ fn request_row(bench: &Bench, n: usize, gate: Option<&str>, mut solve: impl FnMu
     let requests = bench.requests(n);
     let mut extra = vec![("requests", requests as u64)];
     if let Some(label) = gate {
-        let allocs = zero_alloc_gate(label, n, &mut solve).unwrap_or_else(|e| gate_failed(&e));
+        let allocs = zero_alloc_gate(label, n, 1, &mut solve).unwrap_or_else(|e| gate_failed(&e));
         extra.push(("allocs_per_solve", allocs));
     }
     let wall = bench.sweep(requests, || (0..requests).for_each(|_| solve()));
@@ -1207,10 +1237,11 @@ const INCREMENTAL_GATE_FRACTION: f64 = 0.20;
 /// first choice pinned (no f-census flips) against a warm [`DeltaSolver`],
 /// the regime the incremental layer is built for: every apply-and-flush
 /// round re-solves only the edited applicant's component and splices it into
-/// the cached global matching.  Reported per delta.  Runs two gates at width
-/// 1: the zero-allocation gate (warm apply+flush rounds on clean shards must
-/// not touch the allocator) and the incremental gate (amortized per-delta
-/// cost must stay under [`INCREMENTAL_GATE_FRACTION`] of a full warm solve).
+/// the cached global matching.  Reported per delta.  Runs two gates: the
+/// zero-allocation gate at widths 1 and 2 (warm apply+flush rounds on clean
+/// shards must neither touch the allocator nor fan out) and, at width 1,
+/// the incremental gate (amortized per-delta cost must stay under
+/// [`INCREMENTAL_GATE_FRACTION`] of a full warm solve).
 fn edit_churn(bench: &Bench, n: usize) -> Option<Row> {
     let inst = workloads::solvable_uniform(n);
     // The stream and its reversed-tails twin: a measured pass applies both,
@@ -1243,21 +1274,25 @@ fn edit_churn(bench: &Bench, n: usize) -> Option<Row> {
         "warm delta apply+flush",
         "warm delta apply+flush with held answers",
     ];
+    // Width 1 sees every allocation; width 2 then sees any fan-out on the
+    // shard path, which the inline width-1 executor cannot.
     let mut allocs = [0u64; 2];
-    for (held_pass, label) in labels.into_iter().enumerate() {
-        let mut held = None;
-        allocs[held_pass] = zero_alloc_gate(label, n, || {
-            for d in streams.iter().flatten() {
-                ds.apply(d).expect("edit churn deltas are valid");
-                let answer = ds.flush().expect("solvable");
-                black_box(answer.num_applicants());
-                if held_pass == 1 {
-                    held = Some(answer.clone());
+    for threads in [1, 2] {
+        for (held_pass, label) in labels.into_iter().enumerate() {
+            let mut held = None;
+            allocs[held_pass] += zero_alloc_gate(label, n, threads, || {
+                for d in streams.iter().flatten() {
+                    ds.apply(d).expect("edit churn deltas are valid");
+                    let answer = ds.flush().expect("solvable");
+                    black_box(answer.num_applicants());
+                    if held_pass == 1 {
+                        held = Some(answer.clone());
+                    }
                 }
-            }
-        })
-        .unwrap_or_else(|e| gate_failed(&e));
-        drop(held);
+            })
+            .unwrap_or_else(|e| gate_failed(&e));
+            drop(held);
+        }
     }
 
     let wall = bench.sweep(pass_deltas, || {
@@ -1802,6 +1837,9 @@ fn post(inst: &PrefInstance, p: usize) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
     use super::{extract_object, fmt_ms, glob_match, parse_args, zero_alloc_gate, Cli, WORKLOADS};
 
     fn parse(line: &str) -> Result<Cli, String> {
@@ -1936,16 +1974,45 @@ mod tests {
 
     #[test]
     fn zero_alloc_gate_rejects_a_lap_that_allocates() {
-        // Only the failing direction: other test threads can add
-        // allocations to the process-wide count, never remove them.
-        let err = zero_alloc_gate("allocating lap", 7, || {
-            std::hint::black_box(vec![0u8; 64]);
-        })
-        .unwrap_err();
-        assert!(
-            err.starts_with("ZERO-ALLOC GATE FAILED: allocating lap"),
-            "{err}"
-        );
-        assert!(err.contains("n = 7"), "{err}");
+        for threads in [1, 2] {
+            let err = zero_alloc_gate("allocating lap", 7, threads, || {
+                std::hint::black_box(vec![0u8; 64]);
+            })
+            .unwrap_err();
+            assert!(
+                err.starts_with("ZERO-ALLOC GATE FAILED: allocating lap"),
+                "{err}"
+            );
+            assert!(err.contains(&format!("n = 7, width {threads}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn zero_alloc_gate_ignores_other_threads() {
+        // Another thread allocates inside every lap, between the lap's two
+        // barrier waits; the gate counts only the calling thread, so it
+        // still passes at both widths.
+        let (step, done) = (Barrier::new(2), AtomicBool::new(false));
+        let results = std::thread::scope(|scope| {
+            scope.spawn(|| loop {
+                step.wait();
+                if done.load(Ordering::SeqCst) {
+                    break;
+                }
+                std::hint::black_box(vec![0u8; 64]);
+                step.wait();
+            });
+            let lap = || {
+                step.wait();
+                step.wait();
+            };
+            let results = [1, 2].map(|threads| zero_alloc_gate("busy neighbour", 7, threads, lap));
+            // Release the neighbour before asserting, so a failure cannot
+            // leave it waiting.
+            done.store(true, Ordering::SeqCst);
+            step.wait();
+            results
+        });
+        assert_eq!(results, [Ok(0), Ok(0)]);
     }
 }

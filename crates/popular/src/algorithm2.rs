@@ -7,26 +7,40 @@
 //! 1. **Degree-1 peeling** (the `while` loop): as long as some post has
 //!    degree 1, find every maximal path of degree-2 vertices that ends at
 //!    such a post, match the edges at even distance from the degree-1
-//!    endpoint, and delete the matched vertices.  The maximal paths and the
-//!    parities are computed with the "doubling trick": one list-ranking pass
-//!    over the *arcs* of the current graph per round.  Lemma 2 bounds the
-//!    number of rounds by `⌈log n⌉ + 1`; the realised count is returned in
+//!    endpoint, and delete the matched vertices.  Lemma 2 bounds the number
+//!    of rounds by `⌈log n⌉ + 1`; the realised count is returned in
 //!    [`Algorithm2Outcome::peel_rounds`] so experiment E4 can check the bound.
 //! 2. **Even-cycle finish**: after the loop (and after dropping isolated
 //!    posts) every surviving post has degree ≥ 2 and every surviving
 //!    applicant still has degree 2.  If there are fewer posts than
 //!    applicants, no applicant-complete matching exists (Hall); otherwise
 //!    the remaining graph is 2-regular — a disjoint union of even cycles —
-//!    and a perfect matching is read off with the NC matcher of
+//!    and a perfect matching is read off with the orientation rule of
 //!    [`pm_matching::two_regular`].
+//!
+//! The edge an applicant gets in a peel round is a local decision.  Call an
+//! applicant's *side* the walk that leaves it through one of its two posts
+//! and continues through every post of degree exactly 2 (a post of degree 2
+//! passes the walk to its other applicant, and that applicant passes it on
+//! through its other post).  Edge `(a, p)` lies at even distance from the
+//! degree-1 endpoint of a maximal path exactly when `a`'s side through `p`
+//! ends at that endpoint, and when both sides of `a` end at degree-1 posts
+//! the paper considers the path once, from the smaller endpoint.  So every
+//! applicant takes the post on the side whose walk ends at the smaller
+//! degree-1 post, and no distance is ever needed.  Only the *chain nodes*
+//! (sides that enter a degree-2 post) have walks longer than one edge; they
+//! are pointer-jumped to the end of their walk ("the doubling trick"), and
+//! every other side is decided by its post's degree alone.
+//!
+//! Two numbers per post carry the whole graph: its alive degree and the XOR
+//! of its alive applicants' ids.  At a post of degree 2 the other applicant
+//! is `xor ^ a`, so neither stage needs an adjacency list.
 
 use rayon::prelude::*;
 
-use pm_pram::compact::compact_indices_fused_into_idx;
 use pm_pram::pointer::{min_label_cycles_idx, pointer_jump_roots_into_idx};
-use pm_pram::scan::csr_offsets_census_into_u32;
 use pm_pram::tracker::{DepthTracker, Phase};
-use pm_pram::{par_chunk_len_bytes, Idx, Workspace, SEQUENTIAL_CUTOFF};
+use pm_pram::{Idx, Workspace, SEQUENTIAL_CUTOFF};
 
 use crate::instance::Assignment;
 use crate::reduced::ReducedGraph;
@@ -64,16 +78,17 @@ pub fn applicant_complete_matching(g: &ReducedGraph, tracker: &DepthTracker) -> 
 /// `f`/`s` are the reduced edges (one pair per applicant), `matched` is the
 /// output buffer — every slot must be `Idx::NONE` on entry and every slot
 /// is written iff the return flag is `true` (an applicant-complete matching
-/// exists).  All scratch — the post→applicant CSR adjacency, liveness
-/// flags, the per-round arc successor array, the list-ranking double
-/// buffers and the even-cycle orientation labels — is checked out of `ws`,
-/// so a warm call performs zero heap allocation.
+/// exists).  All scratch — the per-post degree and XOR arrays, the alive
+/// applicant list, the chain nodes and their pointer-jumping buffers, and
+/// the even-cycle orientation labels — is checked out of `ws`, so a warm
+/// call performs zero heap allocation.
 ///
-/// The degree-1 peeling loop is the same arc construction as always; the
-/// even-cycle finish inlines the 2-regular orientation matcher of
-/// `pm_matching::two_regular` directly on the surviving applicants (same
-/// canonical min-arc orientation, hence bit-identical output) instead of
-/// materialising a compacted `BipartiteGraph`.
+/// A side of applicant `a` is numbered `2a` (through `f(a)`) or `2a + 1`
+/// (through `s(a)`).  The loops are sequential; the pointer jumping over
+/// the chain nodes and the even-cycle finish run in parallel above
+/// [`SEQUENTIAL_CUTOFF`] elements.  The even-cycle finish matches the
+/// surviving applicants with the canonical min-arc orientation of
+/// `pm_matching::two_regular`, on the original vertex ids.
 pub fn applicant_complete_matching_into(
     total_posts: usize,
     f: &[Idx],
@@ -83,276 +98,214 @@ pub fn applicant_complete_matching_into(
     tracker: &DepthTracker,
 ) -> (bool, u32) {
     let n_a = f.len();
-    let n_p = total_posts;
     debug_assert_eq!(s.len(), n_a);
     debug_assert_eq!(matched.len(), n_a);
     debug_assert!(matched.iter().all(|&m| m.is_none()));
-    // The arc encoding below packs 4 arcs per applicant into u32 ids; the
-    // instance-size funnel (`pm_popular::instance::MAX_APPLICANTS`) keeps
-    // that in range.
-    debug_assert!(4 * n_a <= u32::MAX as usize);
+    // Side ids go up to 2a + 1; the instance-size funnel
+    // (`pm_popular::instance::MAX_APPLICANTS`) keeps them in range.
+    debug_assert!(2 * n_a <= Idx::MAX_INDEX);
     tracker.phase();
 
     if n_a == 0 {
         return (true, 0);
     }
-    // Static adjacency of the reduced graph, post -> incident applicants, in
-    // flat CSR form: one counting round, one prefix scan, one fill round —
-    // no per-post vectors.
-    let mut counts = ws.take_u32(n_p, 0);
-    for a in 0..n_a {
-        counts[f[a]] += 1;
-        counts[s[a]] += 1;
-    }
-    // A post participates only if it occurs in the reduced graph.  The
-    // offsets scan already streams every count, so the post-liveness flags
-    // and the alive/degree-1 tallies are folded into the same sweep instead
-    // of a separate O(|P|) census pass over `counts`.
-    let mut alive_post = ws.take_bool(n_p, false);
-    let mut adj_off = ws.take_u32_empty();
-    let mut chunk_scratch = ws.take_u32_empty();
-    let census = {
-        let _span = tracker.span(Phase::Census);
-        let (_, census) = csr_offsets_census_into_u32(
-            &counts,
-            &mut adj_off,
-            &mut chunk_scratch,
-            &mut alive_post,
-            tracker,
-        );
-        census
+    let side_post = |side: usize| -> Idx {
+        if side & 1 == 0 {
+            f[side / 2]
+        } else {
+            s[side / 2]
+        }
     };
-    let mut cursor = ws.take_u32_empty();
-    cursor.extend_from_slice(&adj_off[..n_p]);
-    // Every slot of the flat adjacency is written by the scatter below
-    // (the offsets are exact), so the checkout can skip the fill.
-    let mut adj_flat = ws.take_idx_dirty(2 * n_a, Idx::ZERO);
-    for a in 0..n_a {
-        for p in [f[a], s[a]] {
-            adj_flat[cursor[p] as usize] = Idx::new(a);
-            cursor[p] += 1;
+
+    // One scatter builds each post's alive degree and the XOR of its alive
+    // applicants, and tallies the alive and degree-1 posts as the degrees
+    // change, so the loop condition and the final Hall check are O(1).
+    let mut deg = ws.take_u32(total_posts, 0);
+    let mut xor = ws.take_u32(total_posts, 0);
+    let mut alive_p_count = 0usize;
+    let mut degree_one_count = 0usize;
+    {
+        let _span = tracker.span(Phase::Census);
+        tracker.round();
+        tracker.work(2 * n_a as u64);
+        for a in 0..n_a {
+            for p in [f[a], s[a]] {
+                let d = deg[p];
+                deg[p] = d + 1;
+                xor[p] ^= a as u32;
+                alive_p_count += usize::from(d == 0);
+                degree_one_count = degree_one_count + usize::from(d == 0) - usize::from(d == 1);
+            }
         }
     }
 
-    let mut alive_applicant = ws.take_bool(n_a, true);
-    // The survivor counts and the number of alive degree-1 posts are
-    // maintained incrementally, so the loop condition and the final Hall
-    // check are O(1) instead of an O(|P|) scan per round.
+    // The unmatched applicants, in increasing order; an applicant matched in
+    // a round leaves the list in the next round's scan.
+    let mut alive = ws.take_idx_dirty(n_a, Idx::ZERO);
+    for (i, a) in alive.iter_mut().enumerate() {
+        *a = Idx::new(i);
+    }
     let mut alive_a_count = n_a;
-    let mut alive_p_count = census.nonzero;
-    let mut degree_one_count = census.ones;
-    let mut post_degree = counts;
-    let mut peel_rounds = 0u32;
-
-    // Scratch buffers reused across peeling rounds: the arc successor array
-    // is fully rewritten every round (so its checkout skips the fill), the
-    // matched-edge list is drained, and the list-ranking result + double
-    // buffers persist across rounds.
-    let mut succ = ws.take_idx_dirty(4 * n_a, Idx::ZERO);
-    let mut root_tail = ws.take_idx_dirty(4 * n_a, Idx::ZERO);
-    let mut newly_matched = ws.take_idx_pair_empty();
+    // Per round: each chain side's index among the chain nodes (written and
+    // read only for chain sides, so the checkout skips the fill), the chain
+    // nodes (side ids), the applicants with a chain side, each chain node's
+    // successor and walk end, the pointer-jumping buffers, and the
+    // applicants matched in this round.
+    let mut slot = ws.take_idx_dirty(2 * n_a, Idx::ZERO);
+    let mut newly_matched = ws.take_idx_empty();
+    let mut chain = ws.take_idx_empty();
+    let mut pending = ws.take_idx_empty();
+    let mut parent = ws.take_idx_empty();
+    let mut tail = ws.take_idx_empty();
     let mut jump_root = ws.take_idx_empty();
     let mut jump_dist = ws.take_u32_empty();
     let mut jump_sptr = ws.take_idx_empty();
     let mut jump_sdist = ws.take_u32_empty();
+    let mut peel_rounds = 0u32;
 
-    // Arc encoding: 4a+0 = a -> f(a), 4a+1 = f(a) -> a,
-    //               4a+2 = a -> s(a), 4a+3 = s(a) -> a.
-    let num_arcs = 4 * n_a;
-
-    loop {
-        if degree_one_count == 0 {
-            break;
-        }
+    while degree_one_count > 0 {
         peel_rounds += 1;
-        tracker.round();
-        tracker.work(num_arcs as u64);
         assert!(
             peel_rounds as usize <= usize::BITS as usize + 2,
             "degree-1 peeling exceeded the Lemma 2 bound by a wide margin"
         );
 
-        // (Re)build the arc successor structure for this round in the reused
-        // scratch buffer: every arc is written exactly once (dead applicants'
-        // arcs become self-pointing tails), so no clearing pass is needed.
-        // The valid-terminal memo (`root_tail`) is written in the same pass:
-        // an applicant->post arc is a terminal iff it self-points into an
-        // alive degree-1 post, which is exactly known while choosing the
-        // successor.  The per-applicant quads are disjoint, so the rebuild
-        // fans out over contiguous applicant chunks.
-        succ.resize(num_arcs, Idx::ZERO);
-        {
-            let (adj_off, adj_flat) = (&adj_off, &adj_flat);
-            let (alive_applicant, alive_post) = (&alive_applicant, &alive_post);
-            let post_degree = &post_degree;
-            let build_quads = |base: usize, quads: &mut [Idx], tails: &mut [Idx]| {
-                // Other alive applicant incident to a degree-2 post.
-                let other_applicant = |p: Idx, not_a: usize| -> Idx {
-                    adj_flat[adj_off[p] as usize..adj_off[p.get() + 1] as usize]
-                        .iter()
-                        .copied()
-                        .find(|&b| b.get() != not_a && alive_applicant[b])
-                        .expect("degree-2 post has a second alive applicant")
-                };
-                for (i, (quad, tail)) in quads.chunks_mut(4).zip(tails.chunks_mut(4)).enumerate() {
-                    let a = base + i;
-                    tail.fill(Idx::NONE);
-                    if !alive_applicant[a] {
-                        for (j, arc) in quad.iter_mut().enumerate() {
-                            *arc = Idx::new(4 * a + j);
-                        }
-                        continue;
-                    }
-                    // Applicant -> post arcs: continue through the post iff
-                    // its degree is 2; otherwise the arc is a tail, and a
-                    // *valid* terminal iff the post's degree is exactly 1.
-                    for (j, p) in [(0usize, f[a]), (2usize, s[a])] {
-                        quad[j] = if alive_post[p] && post_degree[p] == 2 {
-                            let b = other_applicant(p, a);
-                            // Next arc is post -> other applicant b.
-                            if f[b] == p {
-                                Idx::new(4 * b.get() + 1)
-                            } else {
-                                Idx::new(4 * b.get() + 3)
-                            }
-                        } else {
-                            if alive_post[p] && post_degree[p] == 1 {
-                                tail[j] = p;
-                            }
-                            Idx::new(4 * a + j)
-                        };
-                    }
-                    // Post -> applicant arcs: always continue through the
-                    // applicant to its other post.
-                    quad[1] = Idx::new(4 * a + 2); // arrived from f(a), towards s(a)
-                    quad[3] = Idx::new(4 * a); // arrived from s(a), towards f(a)
-                }
-            };
-            if n_a >= SEQUENTIAL_CUTOFF {
-                let chunk_a = par_chunk_len_bytes(n_a, 4 * std::mem::size_of::<Idx>());
-                succ.par_chunks_mut(4 * chunk_a)
-                    .zip(root_tail.par_chunks_mut(4 * chunk_a))
-                    .enumerate()
-                    .for_each(|(ci, (quads, tails))| build_quads(ci * chunk_a, quads, tails));
-            } else {
-                build_quads(0, &mut succ, &mut root_tail);
-            }
-        }
-
-        // List-rank every arc: distance and endpoint of its walk (double
-        // buffers persist across peeling rounds — no per-round allocation).
-        {
-            let _span = tracker.span(Phase::Jump);
-            pointer_jump_roots_into_idx(
-                &succ,
-                &mut jump_root,
-                &mut jump_dist,
-                &mut jump_sptr,
-                &mut jump_sdist,
-                tracker,
-            );
-        }
-
-        // An arc's walk is "valid" when it terminates at an applicant->post
-        // arc whose head post has degree 1 (that post is the v0 endpoint) —
-        // exactly the memo `root_tail` recorded while building `succ`, so
-        // the decision loop pays a single lookup per direction instead of
-        // re-deriving the test at four random arcs per edge.
-        let tail_post = |arc: usize| -> Option<usize> { root_tail[jump_root[arc]].some() };
-
-        // Decide matched edges.  Edge (a, p) has an applicant->post arc A and
-        // a post->applicant arc B; if both directions reach a degree-1 post,
-        // the smaller post id is chosen as v0 (the "consider the path once"
-        // rule of the paper).  The arcs examined are charged through a local
-        // accumulator — exact totals, one atomic add for the whole loop.
+        // Scan the alive applicants: drop last round's matches, decide every
+        // applicant whose posts both have degree ≠ 2 (a degree-1 post ends
+        // its side at once; any other post ends it nowhere), and collect
+        // the chain nodes of the rest.
+        tracker.round();
+        tracker.work(alive.len() as u64);
+        chain.clear();
+        pending.clear();
         newly_matched.clear();
-        let mut charged = tracker.local();
-        for (a, &a_alive) in alive_applicant.iter().enumerate() {
-            if !a_alive {
+        let mut kept = 0;
+        for i in 0..alive.len() {
+            let a = alive[i];
+            if matched[a].is_some() {
                 continue;
             }
-            for (arc_ap, arc_pa, p) in [(4 * a, 4 * a + 1, f[a]), (4 * a + 2, 4 * a + 3, s[a])] {
-                if !alive_post[p] {
-                    continue;
+            alive[kept] = a;
+            kept += 1;
+            let (pf, ps) = (f[a], s[a]);
+            let (df, ds) = (deg[pf], deg[ps]);
+            if df != 2 && ds != 2 {
+                let end_f = if df == 1 { pf } else { Idx::NONE };
+                let end_s = if ds == 1 { ps } else { Idx::NONE };
+                if let Some(p) = nearer_end(end_f, end_s, pf, ps) {
+                    matched[a] = p;
+                    newly_matched.push(a);
                 }
-                charged.add(2);
-                let t_fwd = tail_post(arc_ap);
-                let t_bwd = tail_post(arc_pa);
-                let use_forward = match (t_fwd, t_bwd) {
-                    (Some(x), Some(y)) => x <= y,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (None, None) => continue,
-                };
-                let dist = if use_forward {
-                    jump_dist[arc_ap]
-                } else {
-                    jump_dist[arc_pa]
-                };
-                if dist % 2 == 0 && use_forward {
-                    // Even distance and the arc is applicant -> post: the post
-                    // side is nearer the endpoint, so applicant a takes post p.
-                    newly_matched.push((Idx::new(a), p));
-                } else if dist % 2 == 0 && !use_forward {
-                    // Even distance measured from the other endpoint means the
-                    // *applicant* side is nearer that endpoint, which cannot
-                    // happen for an applicant->post edge of an alternating
-                    // path that starts at a post; skip (the partner edge of
-                    // this applicant is the matched one).
-                    continue;
+                continue;
+            }
+            pending.push(a);
+            for (side, d) in [(2 * a.get(), df), (2 * a.get() + 1, ds)] {
+                if d == 2 {
+                    slot[side] = Idx::new(chain.len());
+                    chain.push(Idx::new(side));
                 }
             }
         }
-        drop(charged);
+        alive.truncate(kept);
 
+        // Chain nodes: each points at the chain node its walk enters next,
+        // or is a root whose walk ends at its successor's post.  Pointer
+        // jumping takes every chain node to its root; the applicants with a
+        // chain side then decide like the others.
+        {
+            let _span = tracker.span(Phase::Jump);
+            if !chain.is_empty() {
+                tracker.round();
+                tracker.work(chain.len() as u64);
+                parent.clear();
+                tail.clear();
+                for (i, &side) in chain.iter().enumerate() {
+                    let (a, p) = (side.get() / 2, side_post(side.get()));
+                    // The other applicant at p, and its side that leaves p.
+                    let b = Idx::from_raw(xor[p] ^ a as u32);
+                    let next = 2 * b.get() + usize::from(f[b] == p);
+                    let q = side_post(next);
+                    if deg[q] == 2 {
+                        parent.push(slot[next]);
+                        tail.push(Idx::NONE);
+                    } else {
+                        parent.push(Idx::new(i));
+                        tail.push(if deg[q] == 1 { q } else { Idx::NONE });
+                    }
+                }
+                pointer_jump_roots_into_idx(
+                    &parent,
+                    &mut jump_root,
+                    &mut jump_dist,
+                    &mut jump_sptr,
+                    &mut jump_sdist,
+                    tracker,
+                );
+                tracker.round();
+                tracker.work(pending.len() as u64);
+                let end = |side: usize| -> Idx {
+                    let p = side_post(side);
+                    match deg[p] {
+                        1 => p,
+                        2 => tail[jump_root[slot[side]]],
+                        _ => Idx::NONE,
+                    }
+                };
+                for &a in pending.iter() {
+                    let (end_f, end_s) = (end(2 * a.get()), end(2 * a.get() + 1));
+                    if let Some(p) = nearer_end(end_f, end_s, f[a], s[a]) {
+                        matched[a] = p;
+                        newly_matched.push(a);
+                    }
+                }
+            }
+        }
         assert!(
             !newly_matched.is_empty(),
             "a degree-1 post exists but no edge was matched (internal error)"
         );
 
-        // Apply the matches and delete matched vertices.
-        for &(a, p) in newly_matched.iter() {
-            debug_assert!(
-                matched[a].is_none(),
-                "applicant {a} matched twice in one round"
-            );
-            debug_assert!(alive_post[p]);
-            matched[a] = p;
-        }
+        // Apply the matches: a matched post dies; the applicant leaves its
+        // other post, which dies on the spot if that was its last applicant
+        // (no later decrement can touch a dead post).
         tracker.round();
         tracker.work(newly_matched.len() as u64);
-        for &(a, p) in newly_matched.iter() {
-            alive_applicant[a] = false;
-            degree_one_count -= usize::from(post_degree[p] == 1);
-            alive_post[p] = false;
-        }
-        alive_a_count -= newly_matched.len();
-        alive_p_count -= newly_matched.len();
-        // Removing an applicant decrements its posts' degrees; a post
-        // dropping to degree 0 is isolated and dies on the spot (the
-        // deferred end-of-round sweep the original formulation used reaches
-        // the same state — no later decrement can touch a dead post).
-        for &(a, _p) in newly_matched.iter() {
-            for q in [f[a], s[a]] {
-                if alive_post[q] {
-                    let d = post_degree[q];
-                    post_degree[q] = d - 1;
-                    degree_one_count += usize::from(d == 2);
-                    if d == 1 {
-                        degree_one_count -= 1;
-                        alive_post[q] = false;
-                        alive_p_count -= 1;
-                    }
+        for &a in newly_matched.iter() {
+            let p = matched[a];
+            debug_assert!(deg[p] > 0, "post {p:?} matched twice in one round");
+            degree_one_count -= usize::from(deg[p] == 1);
+            deg[p] = 0;
+            alive_p_count -= 1;
+            let q = if f[a] == p { s[a] } else { f[a] };
+            let d = deg[q];
+            if d > 0 {
+                deg[q] = d - 1;
+                xor[q] ^= a.raw();
+                degree_one_count += usize::from(d == 2);
+                if d == 1 {
+                    degree_one_count -= 1;
+                    alive_p_count -= 1;
                 }
             }
         }
+        alive_a_count -= newly_matched.len();
     }
+    // The round scratch goes back before the finish checks out its own,
+    // so the finish reuses it instead of growing the pools.
+    ws.put_idx(slot);
+    ws.put_idx(newly_matched);
+    ws.put_idx(chain);
+    ws.put_idx(pending);
+    ws.put_idx(parent);
+    ws.put_idx(tail);
+    ws.put_idx(jump_root);
+    ws.put_u32(jump_dist);
+    ws.put_idx(jump_sptr);
+    ws.put_u32(jump_sdist);
 
     // Every surviving applicant still has degree 2; every surviving post has
     // degree ≥ 2.  The incremental survivor counts give the Hall check for
-    // free; the survivor *list* (the paper's prefix-sum list compression)
-    // is materialised only when the cycle finish actually needs it — on a
-    // fully peeled instance the epilogue costs nothing.
+    // free.
     let feasible = alive_p_count >= alive_a_count;
     if feasible && alive_a_count > 0 {
         // |P| >= |A| together with the degree count forces |P| = |A| and a
@@ -363,16 +316,12 @@ pub fn applicant_complete_matching_into(
         // applicant to its successor post in that orientation.  This is the
         // `two_regular` matcher inlined on the original vertex ids.
         debug_assert_eq!(alive_p_count, alive_a_count);
-        let mut alive_as = ws.take_idx_empty();
-        {
-            let alive_applicant = &alive_applicant;
-            compact_indices_fused_into_idx(n_a, |a| alive_applicant[a], &mut alive_as, ws, tracker);
-        }
-        debug_assert_eq!(alive_as.len(), alive_a_count);
-        let k = alive_as.len();
+        alive.retain(|&a| matched[a].is_none());
+        debug_assert_eq!(alive.len(), alive_a_count);
+        let k = alive.len();
         let num_arcs2 = 2 * k;
 
-        // Arc 2i+j: surviving applicant alive_as[i] takes f (j=0) / s (j=1).
+        // Arc 2i+j: surviving applicant alive[i] takes f (j=0) / s (j=1).
         // next_arc walks two steps along the cycle to the next applicant.
         tracker.round();
         tracker.work(num_arcs2 as u64);
@@ -380,24 +329,17 @@ pub fn applicant_complete_matching_into(
         // for surviving applicants; ptr and label are fully initialised
         // below — all three checkouts skip the fill.
         let mut app_idx = ws.take_idx_dirty(n_a, Idx::NONE);
-        for (i, &a) in alive_as.iter().enumerate() {
+        for (i, &a) in alive.iter().enumerate() {
             app_idx[a] = Idx::new(i);
         }
         let mut ptr = ws.take_idx_dirty(num_arcs2, Idx::ZERO);
         let mut label = ws.take_idx_dirty(num_arcs2, Idx::ZERO);
         {
-            let (adj_off, adj_flat) = (&adj_off, &adj_flat);
-            let (alive_applicant, alive_as) = (&alive_applicant, &alive_as);
-            let app_idx = &app_idx;
+            let (alive, app_idx, xor) = (&alive, &app_idx, &xor);
             let next_arc = |arc: usize| -> Idx {
-                let (i, j) = (arc / 2, arc % 2);
-                let a = alive_as[i];
-                let p = if j == 0 { f[a] } else { s[a] };
-                let b = adj_flat[adj_off[p] as usize..adj_off[p.get() + 1] as usize]
-                    .iter()
-                    .copied()
-                    .find(|&b| b != a && alive_applicant[b])
-                    .expect("2-regular post has a second surviving applicant");
+                let a = alive[arc / 2];
+                let p = if arc & 1 == 0 { f[a] } else { s[a] };
+                let b = Idx::from_raw(xor[p] ^ a.raw());
                 let ib = app_idx[b].get();
                 if f[b] == p {
                     Idx::new(2 * ib + 1)
@@ -440,12 +382,11 @@ pub fn applicant_complete_matching_into(
         // orientation cycle has the smaller canonical label.
         tracker.round();
         tracker.work(k as u64);
-        for (i, &a) in alive_as.iter().enumerate() {
+        for (i, &a) in alive.iter().enumerate() {
             let take_s = label[2 * i + 1] < label[2 * i];
             matched[a] = if take_s { s[a] } else { f[a] };
         }
 
-        ws.put_idx(alive_as);
         ws.put_idx(app_idx);
         ws.put_idx(ptr);
         ws.put_idx(label);
@@ -455,22 +396,25 @@ pub fn applicant_complete_matching_into(
 
     debug_assert!(!feasible || matched.iter().all(|&m| m.is_some()));
 
-    ws.put_u32(adj_off);
-    ws.put_u32(chunk_scratch);
-    ws.put_u32(cursor);
-    ws.put_idx(adj_flat);
-    ws.put_u32(post_degree);
-    ws.put_bool(alive_applicant);
-    ws.put_bool(alive_post);
-    ws.put_idx(succ);
-    ws.put_idx(root_tail);
-    ws.put_idx_pair(newly_matched);
-    ws.put_idx(jump_root);
-    ws.put_u32(jump_dist);
-    ws.put_idx(jump_sptr);
-    ws.put_u32(jump_sdist);
+    ws.put_u32(deg);
+    ws.put_u32(xor);
+    ws.put_idx(alive);
 
     (feasible, peel_rounds)
+}
+
+/// The post an applicant takes, given where its two sides end (`NONE` for a
+/// side that ends at no degree-1 post): the post on the side that ends at
+/// the smaller degree-1 post, or `None` while neither side ends at one.
+#[inline]
+fn nearer_end(end_f: Idx, end_s: Idx, pf: Idx, ps: Idx) -> Option<Idx> {
+    if end_f.is_none() && end_s.is_none() {
+        None
+    } else if end_f <= end_s {
+        Some(pf)
+    } else {
+        Some(ps)
+    }
 }
 
 #[cfg(test)]

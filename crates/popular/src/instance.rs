@@ -36,10 +36,10 @@ use pm_pram::{EpochMarks, Idx};
 
 use crate::error::PopularError;
 
-/// The largest admissible applicant count.  Algorithm 2 encodes four arcs
-/// per applicant in `u32` arc ids, so applicants get a quarter of the index
-/// range — still north of 10⁹, far beyond anything the dense arrays fit in
-/// memory anyway.
+/// The largest admissible applicant count: a quarter of the `u32` range,
+/// still north of 10⁹ — far beyond anything the dense arrays fit in memory
+/// anyway.  Algorithm 2 numbers applicant `a`'s two sides `2a` and `2a + 1`
+/// in [`Idx`] ids, so side ids stay in range with room to spare.
 pub const MAX_APPLICANTS: usize = (u32::MAX as usize - 3) / 4;
 
 /// The largest admissible extended-post count (`num_posts + num_applicants`)

@@ -61,9 +61,8 @@ pub use pointer::{
 };
 pub use reduce::{par_argmax, par_argmin, par_max, par_min, par_sum};
 pub use scan::{
-    csr_offsets, csr_offsets_census_into_u32, csr_offsets_into_u32, offsets_from_counts,
-    prefix_scan_exclusive, prefix_scan_inclusive, prefix_sum_exclusive, prefix_sum_inclusive,
-    DegreeCensus,
+    csr_offsets, csr_offsets_into_u32, offsets_from_counts, prefix_scan_exclusive,
+    prefix_scan_inclusive, prefix_sum_exclusive, prefix_sum_inclusive,
 };
 pub use scheduler::RoundScheduler;
 pub use tracker::{DepthTracker, LocalWork, Phase, PhaseSpan, PhaseTimes, PramStats};

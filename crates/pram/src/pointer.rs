@@ -293,10 +293,11 @@ fn has_cycle(parent: &[usize]) -> bool {
 /// of `v` (or `None` for a list tail).  Returns for every element the number
 /// of hops to its tail, computed by pointer doubling in `O(log n)` rounds.
 ///
-/// This is the textbook list-ranking problem; Algorithm 2 uses it to compute
-/// the distance of every edge of a maximal path from the degree-1 endpoint,
-/// which decides whether the edge joins the matching ("each edge at an even
-/// distance from `v0` is added to `M`").
+/// This is the textbook list-ranking problem, the literal form of the
+/// paper's Algorithm 2 step ("each edge at an even distance from `v0` is
+/// added to `M`").  The solver's Algorithm 2 needs only where each walk
+/// ends, not its length, and calls [`pointer_jump_roots_into_idx`] on the
+/// chain nodes directly.
 pub fn list_rank(succ: &[Option<usize>], tracker: &DepthTracker) -> Vec<u64> {
     let parent: Vec<usize> = succ
         .iter()

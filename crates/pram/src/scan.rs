@@ -209,127 +209,6 @@ pub fn csr_offsets_into_u32(
     total as usize
 }
 
-/// The degree statistics a fused offsets-plus-census scan reports: how many
-/// rows have a non-zero count and how many have a count of exactly one.
-/// These are the two numbers Algorithm 2's degree-1 peeling loop needs to
-/// seed its incremental liveness bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DegreeCensus {
-    /// Number of rows whose count is non-zero.
-    pub nonzero: usize,
-    /// Number of rows whose count is exactly one.
-    pub ones: usize,
-}
-
-/// Fused twin of [`csr_offsets_into_u32`]: builds the CSR row boundaries
-/// *and*, in the same sweeps over `counts`, writes `alive[i] = counts[i] != 0`
-/// and tallies the [`DegreeCensus`].  The unfused formulation pays a third
-/// full traversal of `counts` for the census; here the census rides the scan
-/// rounds for free, so each round reads the counts array exactly once.
-///
-/// Work/depth accounting is bit-identical to [`csr_offsets_into_u32`]: the
-/// census is a fused by-product, not an extra PRAM step (the unfused callers
-/// never charged their census loop separately).  The census tallies are
-/// accumulated with commutative relaxed adds, so they are deterministic at
-/// every thread count.  Returns the grand total and the census.
-///
-/// # Panics
-///
-/// `alive.len()` must equal `counts.len()`.
-pub fn csr_offsets_census_into_u32(
-    counts: &[u32],
-    out: &mut Vec<u32>,
-    chunk_scratch: &mut Vec<u32>,
-    alive: &mut [bool],
-    tracker: &DepthTracker,
-) -> (usize, DegreeCensus) {
-    let len = counts.len();
-    assert_eq!(alive.len(), len, "alive/counts length mismatch");
-    tracker.work(len as u64);
-    if len < SEQUENTIAL_CUTOFF {
-        tracker.round();
-        out.clear();
-        out.reserve(len + 1);
-        let mut acc = 0u32;
-        let mut census = DegreeCensus::default();
-        for (&c, al) in counts.iter().zip(alive.iter_mut()) {
-            out.push(acc);
-            acc = acc.checked_add(c).expect("u32 CSR total overflow");
-            *al = c != 0;
-            census.nonzero += usize::from(c != 0);
-            census.ones += usize::from(c == 1);
-        }
-        out.push(acc);
-        return (acc as usize, census);
-    }
-
-    let chunk = crate::par_chunk_len_bytes(len, std::mem::size_of::<u32>());
-    let n_chunks = len.div_ceil(chunk);
-
-    // Round 1: per-chunk totals, written in place (identical to the unfused
-    // scan — the census rides round 2, where the counts are re-read anyway).
-    tracker.round();
-    chunk_scratch.clear();
-    chunk_scratch.resize(n_chunks, 0);
-    chunk_scratch
-        .par_iter_mut()
-        .enumerate()
-        .with_min_len(1)
-        .for_each(|(ci, t)| {
-            let s = ci * chunk;
-            let e = ((ci + 1) * chunk).min(len);
-            let sum: u64 = counts[s..e].iter().map(|&c| u64::from(c)).sum();
-            *t = u32::try_from(sum).expect("u32 CSR chunk-total overflow");
-        });
-
-    // Sequential exclusive scan over the (few) chunk totals.
-    let mut acc = 0u32;
-    for t in chunk_scratch.iter_mut() {
-        let c = *t;
-        *t = acc;
-        acc = acc.checked_add(c).expect("u32 CSR total overflow");
-    }
-    let total = acc;
-
-    // Round 2: rescan each chunk seeded with its offset, with the liveness
-    // flags and the census folded into the same pass.
-    tracker.round();
-    let nonzero = std::sync::atomic::AtomicUsize::new(0);
-    let ones = std::sync::atomic::AtomicUsize::new(0);
-    let out_len = len + 1;
-    if out.capacity() < out_len {
-        *out = vec![0; out_len];
-    } else {
-        out.clear();
-        out.resize(out_len, 0);
-    }
-    out[..len]
-        .par_chunks_mut(chunk)
-        .zip(counts.par_chunks(chunk))
-        .zip(alive.par_chunks_mut(chunk))
-        .zip(chunk_scratch.par_iter())
-        .for_each(|(((o, c), al), &seed)| {
-            let mut acc = seed;
-            let mut nz = 0usize;
-            let mut on = 0usize;
-            for ((oi, &ci), ai) in o.iter_mut().zip(c.iter()).zip(al.iter_mut()) {
-                *oi = acc;
-                acc += ci;
-                *ai = ci != 0;
-                nz += usize::from(ci != 0);
-                on += usize::from(ci == 1);
-            }
-            nonzero.fetch_add(nz, std::sync::atomic::Ordering::Relaxed);
-            ones.fetch_add(on, std::sync::atomic::Ordering::Relaxed);
-        });
-    out[len] = total;
-    let census = DegreeCensus {
-        nonzero: nonzero.into_inner(),
-        ones: ones.into_inner(),
-    };
-    (total as usize, census)
-}
-
 fn sequential_exclusive<T, F>(xs: &[T], identity: T, op: &F) -> (Vec<T>, T)
 where
     T: Clone,
@@ -473,32 +352,6 @@ mod tests {
             let out_usize: Vec<usize> = out.iter().map(|&o| o as usize).collect();
             assert_eq!(out_usize, want, "n = {n}");
             assert_eq!(total, *want.last().unwrap());
-        }
-    }
-
-    #[test]
-    fn census_scan_matches_unfused_scan_plus_census() {
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        let mut out_ref = Vec::new();
-        let mut scratch_ref = Vec::new();
-        for n in [0usize, 1, 5, 3000, 70_000] {
-            let counts: Vec<u32> = (0..n).map(|i| ((i * 31) % 11) as u32 % 3).collect();
-            let mut alive = vec![false; n];
-            let tf = DepthTracker::new();
-            let (total, census) =
-                csr_offsets_census_into_u32(&counts, &mut out, &mut scratch, &mut alive, &tf);
-            let tu = DepthTracker::new();
-            let want_total = csr_offsets_into_u32(&counts, &mut out_ref, &mut scratch_ref, &tu);
-            assert_eq!(out, out_ref, "n = {n}");
-            assert_eq!(total, want_total, "n = {n}");
-            assert_eq!(tf.stats(), tu.stats(), "accounting differs at n = {n}");
-            let want_nonzero = counts.iter().filter(|&&c| c != 0).count();
-            let want_ones = counts.iter().filter(|&&c| c == 1).count();
-            assert_eq!(census.nonzero, want_nonzero, "n = {n}");
-            assert_eq!(census.ones, want_ones, "n = {n}");
-            let want_alive: Vec<bool> = counts.iter().map(|&c| c != 0).collect();
-            assert_eq!(alive, want_alive, "n = {n}");
         }
     }
 

@@ -32,9 +32,11 @@ pub enum Phase {
     Algorithm2,
     /// The promotion pass of Algorithm 1.
     Promote,
-    /// The fused CSR-offsets + degree-census scan inside Algorithm 2.
+    /// Algorithm 2's per-post degree and XOR build, with the alive and
+    /// degree-1 post tallies.
     Census,
-    /// List ranking: pointer jumping and min-label cycle doubling.
+    /// Algorithm 2's chain rounds (successors, pointer jumping, the chain
+    /// applicants' decisions) and min-label cycle doubling.
     Jump,
     /// Hopcroft–Karp BFS layering sweeps.
     HkBfs,

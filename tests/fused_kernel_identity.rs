@@ -25,7 +25,6 @@ use pm_pram::compact::{
 use pm_pram::pointer::{
     list_rank, pointer_jump_roots, pointer_jump_roots_into_idx, PointerJumpResult,
 };
-use pm_pram::scan::{csr_offsets_census_into_u32, csr_offsets_into_u32, DegreeCensus};
 use pm_pram::{DepthTracker, Idx, PramStats, Workspace, SEQUENTIAL_CUTOFF};
 use rayon::ThreadPoolBuilder;
 
@@ -58,88 +57,6 @@ fn draws(seed: u64) -> impl FnMut(usize) -> usize {
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         ((state >> 33) as usize) % bound.max(1)
-    }
-}
-
-/// Deterministic pseudo-random counts with plenty of zeros and ones, so the
-/// census fields are all non-trivial.
-fn counts(n: usize, seed: u64) -> Vec<u32> {
-    let mut draw = draws(seed);
-    (0..n).map(|_| draw(4) as u32).collect()
-}
-
-/// Everything observable from one scan+census run.
-#[derive(Debug, PartialEq, Eq)]
-struct ScanFingerprint {
-    offsets: Vec<u32>,
-    alive: Vec<bool>,
-    total: usize,
-    census: DegreeCensus,
-    stats: PramStats,
-}
-
-/// The unfused reference: the plain scan, then the separate census loop the
-/// fused kernel replaced (which the callers never charged on the tracker).
-fn unfused_scan(counts: &[u32]) -> ScanFingerprint {
-    let tracker = DepthTracker::new();
-    let mut offsets = Vec::new();
-    let mut scratch = Vec::new();
-    let total = csr_offsets_into_u32(counts, &mut offsets, &mut scratch, &tracker);
-    let mut census = DegreeCensus::default();
-    let alive: Vec<bool> = counts
-        .iter()
-        .map(|&c| {
-            census.nonzero += usize::from(c != 0);
-            census.ones += usize::from(c == 1);
-            c != 0
-        })
-        .collect();
-    ScanFingerprint {
-        offsets,
-        alive,
-        total,
-        census,
-        stats: tracker.stats(),
-    }
-}
-
-fn fused_scan(counts: &[u32]) -> ScanFingerprint {
-    let tracker = DepthTracker::new();
-    let mut offsets = Vec::new();
-    let mut scratch = Vec::new();
-    let mut alive = vec![true; counts.len()];
-    let (total, census) =
-        csr_offsets_census_into_u32(counts, &mut offsets, &mut scratch, &mut alive, &tracker);
-    ScanFingerprint {
-        offsets,
-        alive,
-        total,
-        census,
-        stats: tracker.stats(),
-    }
-}
-
-#[test]
-fn fused_scan_census_is_bit_identical_to_unfused_across_widths() {
-    for seed in [1u64, 2, 3] {
-        for n in sizes() {
-            let cs = counts(n, seed);
-            let reference = unfused_scan(&cs);
-            for threads in [1usize, 4] {
-                let fused = pool(threads).install(|| fused_scan(&cs));
-                assert_eq!(
-                    fused, reference,
-                    "fused scan+census diverged from unfused (n = {n}, seed = {seed}, \
-                     {threads} threads)"
-                );
-            }
-            // The unfused reference itself must also be width-independent.
-            let reference4 = pool(4).install(|| unfused_scan(&cs));
-            assert_eq!(
-                reference, reference4,
-                "unfused scan width-dependent (n = {n})"
-            );
-        }
     }
 }
 
