@@ -25,20 +25,28 @@
 //! * the cached global matching, spliced shard by shard.
 //!
 //! A delta dirties the components it touches; [`DeltaSolver::flush`]
-//! re-solves only the dirty shards through the existing kernels
-//! ([`applicant_complete_matching_into`], [`promote_into`], and in
-//! max-cardinality mode [`improve_to_maximum_cardinality_ws`]) on compact
-//! remapped id spaces, and splices the results into the cached matching.
-//! The remap is **monotone** (shard members and shard posts are sorted
-//! ascending), which is exactly the property the kernels' tie-breaks
-//! (min-arc orientation, smallest-applicant promotion, best-(margin, q)
-//! election) need to reproduce the global solve's decisions.
+//! re-solves only the dirty shards on compact remapped id spaces and
+//! splices the results into the cached matching.  The remap is
+//! **monotone** (shard members and shard posts are sorted ascending),
+//! which is exactly the property the kernels' tie-breaks (min-arc
+//! orientation, smallest-applicant promotion, best-(margin, q) election)
+//! need to reproduce the global solve's decisions.
+//!
+//! Shard re-solves and full rebuilds run the solver's one pipeline
+//! function (`solve_reduced_into` in [`crate::solver`]): Algorithm 2
+//! ([`applicant_complete_matching_into`](crate::algorithm2::applicant_complete_matching_into)),
+//! promotion ([`promote_into`](crate::algorithm1::promote_into)) and, in
+//! max-cardinality mode, Algorithm 3
+//! ([`improve_to_maximum_cardinality_ws`](crate::max_cardinality::improve_to_maximum_cardinality_ws)).
+//! A full rebuild builds its reduced graph from the arena with the same
+//! builder as [`build_into`](crate::reduced::build_into).
 //!
 //! Falling back to a full solve happens when structure changes too much to
 //! patch: a post is added or removed (every last-resort id shifts), the
 //! dirty fraction exceeds [`FULL_SOLVE_DIRTY_FRACTION`] of the extended
-//! post set, an applicant slot regrows into a retired last-resort id, or
-//! the previous full solve found the instance infeasible.  DESIGN.md §10
+//! post set, an applicant slot regrows into a retired last-resort id, the
+//! `u32` list offsets force an arena compaction, or the previous full
+//! solve found the instance infeasible.  DESIGN.md §10
 //! states the invariants; the serving layer (`pm_serve`) coalesces queued
 //! deltas per instance into one flush per scheduling tick.
 //!
@@ -55,11 +63,10 @@ use pm_pram::tracker::DepthTracker;
 use pm_pram::workspace::{EpochMap, EpochMarks, Workspace};
 use pm_pram::Idx;
 
-use crate::algorithm1::promote_into;
-use crate::algorithm2::applicant_complete_matching_into;
 use crate::error::PopularError;
 use crate::instance::{check_sizes, Assignment, PrefInstance};
-use crate::max_cardinality::improve_to_maximum_cardinality_ws;
+use crate::reduced::build_lists_into;
+use crate::solver::solve_reduced_into;
 
 /// Dirty-fraction fallback threshold: if the dirty components cover more
 /// than this fraction of the extended post set, `flush` abandons shard
@@ -73,14 +80,10 @@ pub const FULL_SOLVE_DIRTY_FRACTION: f64 = 0.25;
 /// the solver stops logging and copies instead.
 const RESPLICE_LOG_DIVISOR: usize = 64;
 
-/// Which pipeline the incremental layer keeps the cached matching on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaMode {
-    /// Algorithms 1+2: any popular matching (maximal in G′).
-    Popular,
-    /// Algorithms 1+2+3: popular and of maximum cardinality.
-    MaxCardinality,
-}
+/// Which pipeline the incremental layer keeps the cached matching on: the
+/// solver's [`SolveMode`](crate::solver::SolveMode) under its delta-layer
+/// name.
+pub use crate::solver::SolveMode as DeltaMode;
 
 /// One typed mutation of a preference instance.
 ///
@@ -190,8 +193,8 @@ pub struct DeltaSolver {
     rev_prev: Vec<Idx>,
     rev_owner: Vec<Idx>,
 
-    // Reduced graph state (the exact arrays ReducedGraph::build_into
-    // produces, maintained incrementally).
+    // Reduced graph state (the exact arrays reduced::build_into produces,
+    // maintained incrementally).
     f: Vec<Idx>,
     s: Vec<Idx>,
     f_count: Vec<u32>,
@@ -332,13 +335,9 @@ impl DeltaSolver {
         solver.app_marks.reset(n + 1);
         solver.valid_marks.reset(np + 1);
         solver.post_map.reset(total + 1);
-        // The install solve: counts as a flush; NoPopularMatching installs
-        // fine, anything else cannot occur on a validated instance.
-        solver.stats.flushes += 1;
-        solver.tracker.reset();
-        solver.ws.begin_epoch();
-        solver.rebuild_full_inner();
-        solver.ws.end_epoch();
+        // The install solve is the first flush.  NoPopularMatching installs
+        // fine, and a fresh solver cannot be poisoned.
+        let _ = solver.flush();
         Ok(solver)
     }
 
@@ -429,6 +428,18 @@ impl DeltaSolver {
         }
         self.validate(delta)?;
         self.applying = true;
+        // The `u32` arena offsets: if this delta's appended slots could
+        // overflow them, compact now (allocating; after about 4.3 G
+        // appended slots) so the delta takes the raw path and the next
+        // flush rebuilds every slot-based index.
+        let extra = match delta {
+            Delta::EditPrefList { prefs, .. } | Delta::AddApplicant { prefs } => prefs.len(),
+            _ => 0,
+        };
+        if self.inst.arena.len() + extra > u32::MAX as usize - 2 {
+            self.compact_arena(extra);
+            self.needs_full = true;
+        }
         match delta {
             Delta::EditPrefList { applicant, prefs } => self.apply_edit(*applicant, prefs),
             Delta::AddApplicant { prefs } => self.apply_add_applicant(prefs),
@@ -695,7 +706,6 @@ impl DeltaSolver {
                     self.inst.arena[lo + i] = Idx::new(p);
                 }
             } else {
-                self.ensure_arena_room(prefs.len());
                 self.inst.off[a] = self.inst.arena.len() as u32;
                 self.inst.len[a] = prefs.len() as u32;
                 self.inst.arena.extend(prefs.iter().map(|&p| Idx::new(p)));
@@ -721,7 +731,6 @@ impl DeltaSolver {
             for slot in self.inst.slots(a) {
                 self.rev_unlink(slot);
             }
-            self.ensure_arena_room(prefs.len());
             let base = self.inst.arena.len();
             self.inst.off[a] = base as u32;
             self.inst.len[a] = prefs.len() as u32;
@@ -735,11 +744,6 @@ impl DeltaSolver {
                 self.rev_link(base + i, p);
             }
             self.inst.live_entries = self.inst.live_entries + prefs.len() - old_len;
-            if self.needs_full {
-                // ensure_arena_room may have forced a compaction; the
-                // indices are stale now, nothing more to maintain.
-                return;
-            }
         }
 
         // 2. First-choice bookkeeping and is_f_post flips.
@@ -803,15 +807,8 @@ impl DeltaSolver {
             return;
         }
         // Arena + reverse index.
-        self.ensure_arena_room(prefs.len());
         let base = self.inst.arena.len();
-        self.inst.off.push(base as u32);
-        self.inst.len.push(prefs.len() as u32);
-        self.inst.arena.extend(prefs.iter().map(|&p| Idx::new(p)));
-        self.inst.live_entries += prefs.len();
-        if self.needs_full {
-            return; // compaction fired mid-append
-        }
+        self.raw_push_applicant(prefs);
         let grown = self.inst.arena.len();
         self.rev_next.resize(grown, Idx::NONE);
         self.rev_prev.resize(grown, Idx::NONE);
@@ -856,7 +853,6 @@ impl DeltaSolver {
     }
 
     fn raw_push_applicant(&mut self, prefs: &[usize]) {
-        self.ensure_arena_room(prefs.len());
         self.inst.off.push(self.inst.arena.len() as u32);
         self.inst.len.push(prefs.len() as u32);
         self.inst.arena.extend(prefs.iter().map(|&p| Idx::new(p)));
@@ -951,25 +947,6 @@ impl DeltaSolver {
         }
         self.inst.live_entries -= removed;
         self.inst.num_posts = last;
-    }
-
-    /// Guards the `u32` arena offsets: if an append would overflow them,
-    /// compact the arena now (allocating — vanishingly rare) and schedule
-    /// a full rebuild, since every slot-based index just went stale.
-    fn ensure_arena_room(&mut self, extra: usize) {
-        if self.inst.arena.len() + extra <= u32::MAX as usize - 2 {
-            return;
-        }
-        let mut fresh = Vec::with_capacity(self.inst.live_entries + extra + 16);
-        for a in 0..self.inst.num_applicants() {
-            let lo = self.inst.off[a] as usize;
-            let hi = lo + self.inst.len[a] as usize;
-            let base = fresh.len() as u32;
-            fresh.extend_from_slice(&self.inst.arena[lo..hi]);
-            self.inst.off[a] = base;
-        }
-        self.inst.arena = fresh;
-        self.needs_full = true;
     }
 
     // ------------------------------------------------------------------
@@ -1074,40 +1051,24 @@ impl DeltaSolver {
             sub_f[i] = Idx::from_raw(self.post_map.get(self.f[b].get()).expect("f post mapped"));
             sub_s[i] = Idx::from_raw(self.post_map.get(self.s[b].get()).expect("s post mapped"));
         }
+        // Shard f-post status equals global status restricted to the shard:
+        // f⁻¹ of a shard post is entirely inside the shard.
+        let mut sub_isf = self.ws.take_bool(kp, false);
+        for &fb in sub_f.iter() {
+            sub_isf[fb] = true;
+        }
         let mut sub_m = self.ws.take_idx(k, Idx::NONE);
-        let (feasible, _peel_rounds) = applicant_complete_matching_into(
-            kp,
+        let (feasible, _peel_rounds) = solve_reduced_into(
+            self.mode,
+            sp_real,
             &sub_f,
             &sub_s,
+            &sub_isf,
             &mut sub_m,
             &mut self.ws,
             &self.tracker,
         );
         if feasible {
-            // Shard f-post status equals global status restricted to the
-            // shard: f⁻¹ of a shard post is entirely inside the shard.
-            let mut sub_isf = self.ws.take_bool(kp, false);
-            for i in 0..k {
-                sub_isf[sub_f[i].get()] = true;
-            }
-            promote_into(
-                &sub_f,
-                &sub_s,
-                &sub_isf,
-                &mut sub_m,
-                &mut self.ws,
-                &self.tracker,
-            );
-            if self.mode == DeltaMode::MaxCardinality {
-                improve_to_maximum_cardinality_ws(
-                    &sub_f,
-                    &sub_s,
-                    sp_real,
-                    &mut sub_m,
-                    &mut self.ws,
-                    &self.tracker,
-                );
-            }
             self.own_out();
             let out = self.out.as_mut_slice();
             for i in 0..k {
@@ -1123,11 +1084,11 @@ impl DeltaSolver {
                 self.comp_bad[ri] = false;
                 self.bad_comps -= 1;
             }
-            self.ws.put_bool(sub_isf);
         } else if !self.comp_bad[ri] {
             self.comp_bad[ri] = true;
             self.bad_comps += 1;
         }
+        self.ws.put_bool(sub_isf);
         self.ws.put_idx(sub_m);
         self.ws.put_idx(sub_s);
         self.ws.put_idx(sub_f);
@@ -1164,52 +1125,27 @@ impl DeltaSolver {
         self.stats.full_solves += 1;
         self.dirty.clear();
         if self.inst.arena.len() > 2 * self.inst.live_entries + 64 {
-            self.compact_arena();
+            self.compact_arena(0);
         }
         let n = self.inst.num_applicants();
         let np = self.inst.num_posts;
         let total = np + n;
 
-        // Reduced graph, mirroring ReducedGraph::build_into's three steps
-        // (sequential here: a rebuild is already the slow path, and the
-        // charges stay deterministic across thread counts).
-        self.tracker.phase();
-        self.tracker.round();
-        self.tracker.work(n as u64);
-        self.f.clear();
-        for a in 0..n {
-            self.f.push(self.inst.arena[self.inst.off[a] as usize]);
-        }
-        self.tracker.round();
-        self.tracker.work(n as u64);
+        let inst = &self.inst;
+        build_lists_into(
+            n,
+            np,
+            |a| inst.list(a),
+            &mut self.f,
+            &mut self.s,
+            &mut self.is_f_post,
+            &self.tracker,
+        );
         self.f_count.clear();
         self.f_count.resize(np, 0);
-        for a in 0..n {
-            self.f_count[self.f[a].get()] += 1;
+        for &p in &self.f {
+            self.f_count[p] += 1;
         }
-        self.is_f_post.clear();
-        self.is_f_post.resize(total, false);
-        for p in 0..np {
-            self.is_f_post[p] = self.f_count[p] > 0;
-        }
-        self.tracker.round();
-        let mut examined: u64 = 0;
-        self.s.clear();
-        for a in 0..n {
-            let lo = self.inst.off[a] as usize;
-            let hi = lo + self.inst.len[a] as usize;
-            let mut sa = Idx::new(np + a);
-            for i in lo..hi {
-                examined += 1;
-                let p = self.inst.arena[i];
-                if !self.is_f_post[p.get()] {
-                    sa = p;
-                    break;
-                }
-            }
-            self.s.push(sa);
-        }
-        self.tracker.work(examined);
 
         // Global solve through the shared workspace, into a buffer no
         // caller holds: every slot is rewritten, so a held `out` trades
@@ -1219,10 +1155,12 @@ impl DeltaSolver {
         }
         self.out.reset_unassigned(n);
         self.spare_synced = false;
-        let (feasible, _peel_rounds) = applicant_complete_matching_into(
-            total,
+        let (feasible, _peel_rounds) = solve_reduced_into(
+            self.mode,
+            np,
             &self.f,
             &self.s,
+            &self.is_f_post,
             self.out.as_mut_slice(),
             &mut self.ws,
             &self.tracker,
@@ -1234,24 +1172,6 @@ impl DeltaSolver {
             self.infeasible_full = true;
             self.needs_full = true;
             return;
-        }
-        promote_into(
-            &self.f,
-            &self.s,
-            &self.is_f_post,
-            self.out.as_mut_slice(),
-            &mut self.ws,
-            &self.tracker,
-        );
-        if self.mode == DeltaMode::MaxCardinality {
-            improve_to_maximum_cardinality_ws(
-                &self.f,
-                &self.s,
-                np,
-                self.out.as_mut_slice(),
-                &mut self.ws,
-                &self.tracker,
-            );
         }
 
         // Fresh decomposition and indices.
@@ -1300,10 +1220,11 @@ impl DeltaSolver {
     }
 
     /// Rewrites the arena densely in applicant order, dropping leaked
-    /// slots.  Only called from the full-rebuild path (or the u32-offset
-    /// guard), which reconstructs the slot-based indices afterwards.
-    fn compact_arena(&mut self) {
-        let mut fresh = Vec::with_capacity(self.inst.live_entries + 16);
+    /// slots, with room for `extra` more.  Only called from the
+    /// full-rebuild path or the `u32`-offset guard in `apply`; the next
+    /// rebuild reconstructs the slot-based indices.
+    fn compact_arena(&mut self, extra: usize) {
+        let mut fresh = Vec::with_capacity(self.inst.live_entries + extra + 16);
         for a in 0..self.inst.num_applicants() {
             let lo = self.inst.off[a] as usize;
             let hi = lo + self.inst.len[a] as usize;
@@ -1443,6 +1364,41 @@ mod tests {
             .unwrap();
         assert_matches_fresh(&mut ds);
         assert!(ds.stats().full_solves > full_before);
+    }
+
+    #[test]
+    fn compaction_before_apply_sends_the_delta_down_the_raw_path() {
+        // The `u32`-offset guard in `apply` fires only after about 4.3 G
+        // appended slots, so this takes its branch directly: compact (which
+        // renumbers every slot) and schedule the full rebuild.  Length-
+        // changing edits and applicant additions then append without
+        // touching the stale slot-based indices.
+        let lists: Vec<Vec<usize>> = (0..8).map(|a| vec![2 * a, 2 * a + 1]).collect();
+        let base = PrefInstance::new_strict(16, lists).unwrap();
+        for mode in [DeltaMode::Popular, DeltaMode::MaxCardinality] {
+            let mut ds = DeltaSolver::install(&base, mode).unwrap();
+            // Leak two slots, so that compaction moves later lists.
+            ds.apply(&Delta::EditPrefList {
+                applicant: 0,
+                prefs: vec![1, 0, 3],
+            })
+            .unwrap();
+            assert_matches_fresh(&mut ds);
+            let full_before = ds.stats().full_solves;
+            ds.compact_arena(0);
+            ds.needs_full = true;
+            ds.apply(&Delta::EditPrefList {
+                applicant: 5,
+                prefs: vec![11, 10, 0],
+            })
+            .unwrap();
+            ds.apply(&Delta::AddApplicant {
+                prefs: vec![10, 11],
+            })
+            .unwrap();
+            assert_matches_fresh(&mut ds);
+            assert_eq!(ds.stats().full_solves, full_before + 1, "{mode:?}");
+        }
     }
 
     #[test]

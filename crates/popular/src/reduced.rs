@@ -42,11 +42,35 @@ pub fn build_into(
     if !inst.is_strict() {
         return Err(PopularError::TiesNotSupported);
     }
-    let n_a = inst.num_applicants();
+    build_lists_into(
+        inst.num_applicants(),
+        inst.num_posts(),
+        |a| inst.flat_list(a),
+        f,
+        s,
+        is_f_post,
+        tracker,
+    );
+    Ok(())
+}
+
+/// [`build_into`] over any store of strict lists: `list(a)` is applicant
+/// `a`'s non-empty list of real posts, most preferred first, for every
+/// `a < n_a`.  The delta layer builds its reduced graph from its arena
+/// through this function.
+pub(crate) fn build_lists_into<'l>(
+    n_a: usize,
+    num_posts: usize,
+    list: impl Fn(usize) -> &'l [Idx] + Sync,
+    f: &mut Vec<Idx>,
+    s: &mut Vec<Idx>,
+    is_f_post: &mut Vec<bool>,
+    tracker: &DepthTracker,
+) {
     tracker.phase();
 
-    // Steps 1 + 2: every applicant reads its first choice straight off the
-    // flat CSR storage (one round), then the f-posts are marked (one
+    // Steps 1 + 2: every applicant reads its first choice straight off its
+    // list (one round), then the f-posts are marked (one
     // concurrent-write round).  Below the cutoff the two sweeps fuse into
     // one — the first-choice read feeds the mark scatter while the value is
     // still in a register, halving the traffic over `f`; the charges stay
@@ -61,17 +85,17 @@ pub fn build_into(
     tracker.round();
     tracker.work(n_a as u64);
     is_f_post.clear();
-    is_f_post.resize(inst.total_posts(), false);
+    is_f_post.resize(num_posts + n_a, false);
     if n_a >= SEQUENTIAL_CUTOFF {
         f.par_iter_mut()
             .enumerate()
-            .for_each(|(a, fa)| *fa = inst.first_choice(a));
+            .for_each(|(a, fa)| *fa = list(a)[0]);
         for &p in f.iter() {
             is_f_post[p] = true;
         }
     } else {
         for (a, fa) in f.iter_mut().enumerate() {
-            let p = inst.first_choice(a);
+            let p = list(a)[0];
             *fa = p;
             is_f_post[p] = true;
         }
@@ -91,7 +115,7 @@ pub fn build_into(
             let a = base + i;
             let mut found = None;
             let mut scanned = 0u64;
-            for &p in inst.flat_list(a) {
+            for &p in list(a) {
                 scanned += 1;
                 if !marks[p] {
                     found = Some(p);
@@ -99,7 +123,7 @@ pub fn build_into(
                 }
             }
             charged.add(scanned);
-            *slot = found.unwrap_or_else(|| inst.last_resort_idx(a));
+            *slot = found.unwrap_or_else(|| Idx::new(num_posts + a));
         }
     };
     if n_a >= SEQUENTIAL_CUTOFF {
@@ -110,7 +134,6 @@ pub fn build_into(
     } else {
         scan_chunk(0, s);
     }
-    Ok(())
 }
 
 /// The reduced graph `G'`: for every applicant its f-post and s-post, plus

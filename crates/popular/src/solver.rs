@@ -42,6 +42,17 @@ use crate::reduced::{build_into, ReducedGraph};
 /// least this many members to amortise it over.
 pub const BATCH_FANOUT_MIN_CHUNK: usize = 3;
 
+/// Which pipeline a solve runs: the mode of a [`PopularSolver`] call, of a
+/// [`DeltaSolver`](crate::delta::DeltaSolver) and of a server request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SolveMode {
+    /// Algorithm 1: any popular matching (maximal in G′).
+    #[default]
+    Popular,
+    /// Algorithms 1 + 3: a maximum-cardinality popular matching.
+    MaxCardinality,
+}
+
 /// A reusable popular-matching solver (see the module docs).
 ///
 /// All entry points reset the internal [`DepthTracker`] and record the
@@ -99,12 +110,7 @@ impl PopularSolver {
     /// * [`PopularError::SolverPoisoned`] if a previous solve panicked
     ///   mid-flight (see [`is_poisoned`](Self::is_poisoned)).
     pub fn solve(&mut self, inst: &PrefInstance) -> Result<&Assignment, PopularError> {
-        self.enter()?;
-        self.tracker.reset();
-        let result = self.solve_algorithm1(inst);
-        self.ws.end_epoch();
-        result?;
-        Ok(&self.out)
+        self.solve_in_mode(inst, SolveMode::Popular)
     }
 
     /// Runs Algorithms 1 + 3 and returns a maximum-cardinality popular
@@ -113,21 +119,7 @@ impl PopularSolver {
         &mut self,
         inst: &PrefInstance,
     ) -> Result<&Assignment, PopularError> {
-        self.enter()?;
-        self.tracker.reset();
-        let result = self.solve_algorithm1(inst).map(|()| {
-            improve_to_maximum_cardinality_ws(
-                &self.f,
-                &self.s,
-                inst.num_posts(),
-                self.out.as_mut_slice(),
-                &mut self.ws,
-                &self.tracker,
-            );
-        });
-        self.ws.end_epoch();
-        result?;
-        Ok(&self.out)
+        self.solve_in_mode(inst, SolveMode::MaxCardinality)
     }
 
     /// The Section V ties oracle: a popular matching of the rank-1 instance
@@ -288,9 +280,21 @@ impl PopularSolver {
         Ok(())
     }
 
-    /// Algorithm 1 into `self.out`: shared by `solve` and
-    /// `solve_max_cardinality`.
-    fn solve_algorithm1(&mut self, inst: &PrefInstance) -> Result<(), PopularError> {
+    /// The body of `solve` and `solve_max_cardinality`.
+    fn solve_in_mode(
+        &mut self,
+        inst: &PrefInstance,
+        mode: SolveMode,
+    ) -> Result<&Assignment, PopularError> {
+        self.enter()?;
+        self.tracker.reset();
+        let result = self.solve_into_out(inst, mode);
+        self.ws.end_epoch();
+        result?;
+        Ok(&self.out)
+    }
+
+    fn solve_into_out(&mut self, inst: &PrefInstance, mode: SolveMode) -> Result<(), PopularError> {
         {
             let _span = self.tracker.span(Phase::Reduce);
             build_into(
@@ -302,23 +306,9 @@ impl PopularSolver {
             )?;
         }
         self.out.reset_unassigned(inst.num_applicants());
-        let (feasible, peel_rounds) = {
-            let _span = self.tracker.span(Phase::Algorithm2);
-            applicant_complete_matching_into(
-                inst.total_posts(),
-                &self.f,
-                &self.s,
-                self.out.as_mut_slice(),
-                &mut self.ws,
-                &self.tracker,
-            )
-        };
-        self.peel_rounds = peel_rounds;
-        if !feasible {
-            return Err(PopularError::NoPopularMatching);
-        }
-        let _span = self.tracker.span(Phase::Promote);
-        promote_into(
+        let (feasible, peel_rounds) = solve_reduced_into(
+            mode,
+            inst.num_posts(),
             &self.f,
             &self.s,
             &self.is_f_post,
@@ -326,8 +316,48 @@ impl PopularSolver {
             &mut self.ws,
             &self.tracker,
         );
+        self.peel_rounds = peel_rounds;
+        if !feasible {
+            return Err(PopularError::NoPopularMatching);
+        }
         Ok(())
     }
+}
+
+/// The pipeline on a built reduced graph, shared by [`PopularSolver`] and
+/// the delta layer's full rebuilds and shard re-solves: Algorithm 2, then
+/// (if it finds an applicant-complete matching) the promotion step of
+/// Algorithm 1, then in [`SolveMode::MaxCardinality`] Algorithm 3.
+///
+/// `f`, `s` and `is_f_post` are a reduced graph over `num_posts` real posts
+/// followed by the last resorts, `is_f_post.len()` posts in all; `matched`
+/// must be all [`Idx::NONE`] on entry.  Returns Algorithm 2's feasibility
+/// flag and peel rounds; `matched` holds the answer iff the flag is true.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve_reduced_into(
+    mode: SolveMode,
+    num_posts: usize,
+    f: &[Idx],
+    s: &[Idx],
+    is_f_post: &[bool],
+    matched: &mut [Idx],
+    ws: &mut Workspace,
+    tracker: &DepthTracker,
+) -> (bool, u32) {
+    let (feasible, peel_rounds) = {
+        let _span = tracker.span(Phase::Algorithm2);
+        applicant_complete_matching_into(is_f_post.len(), f, s, matched, ws, tracker)
+    };
+    if feasible {
+        {
+            let _span = tracker.span(Phase::Promote);
+            promote_into(f, s, is_f_post, matched, ws, tracker);
+        }
+        if mode == SolveMode::MaxCardinality {
+            improve_to_maximum_cardinality_ws(f, s, num_posts, matched, ws, tracker);
+        }
+    }
+    (feasible, peel_rounds)
 }
 
 #[cfg(test)]

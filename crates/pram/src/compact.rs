@@ -33,78 +33,26 @@ where
     out.iter().map(|i| i.get()).collect()
 }
 
-/// Allocation-free two-pass compaction: the flag and slot arrays are
-/// checked out of `ws` and the kept indices are written into `out`
-/// (capacity reused).  A warm call — same workspace, no larger `n` than any
-/// previous call — performs no heap allocation.  `n` must fit the `Idx`
-/// range (guaranteed by the instance-size funnel; debug-asserted here).
+/// Allocation-free compaction: the kept indices are written into `out`
+/// (capacity reused) and the chunk counts are checked out of `ws`, so a
+/// warm call performs no heap allocation.  `n` must fit the `Idx` range
+/// (guaranteed by the instance-size funnel; debug-asserted here).
 ///
-/// This is the unfused reference that [`compact_indices_fused_into_idx`] is
-/// checked against.
-pub fn compact_indices_into_idx<F>(
-    n: usize,
-    keep: F,
-    out: &mut Vec<Idx>,
-    ws: &mut Workspace,
-    tracker: &DepthTracker,
-) where
-    F: Fn(usize) -> bool + Send + Sync,
-{
-    debug_assert!(n <= Idx::MAX_INDEX + 1);
-    // Round 1: evaluate the predicate into 0/1 counts.
-    tracker.round();
-    tracker.work(n as u64);
-    let mut flags = ws.take_u32(n, 0);
-    if n >= SEQUENTIAL_CUTOFF {
-        flags
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, f)| *f = u32::from(keep(i)));
-    } else {
-        for (i, f) in flags.iter_mut().enumerate() {
-            *f = u32::from(keep(i));
-        }
-    }
-
-    // Scan rounds: each kept element's output slot (CSR boundaries; the
-    // trailing total slot is ignored).
-    let mut slots = ws.take_u32_empty();
-    let mut chunk_scratch = ws.take_u32_empty();
-    let total = crate::scan::csr_offsets_into_u32(&flags, &mut slots, &mut chunk_scratch, tracker);
-
-    // Scatter round.
-    tracker.round();
-    tracker.work(n as u64);
-    out.clear();
-    out.resize(total, Idx::ZERO);
-    for i in 0..n {
-        if flags[i] == 1 {
-            out[slots[i] as usize] = Idx::new(i);
-        }
-    }
-
-    ws.put_u32(flags);
-    ws.put_u32(slots);
-    ws.put_u32(chunk_scratch);
-}
-
-/// Fused twin of [`compact_indices_into_idx`]: same outputs, same work/depth
-/// accounting, a fraction of the memory traffic.
-///
-/// The unfused kernel materialises a full flag array (n × 4 B written, then
-/// read twice by the scan) and a full slot array (n × 4 B written, read by
-/// the scatter) just to ferry the predicate's verdict between rounds.  The
-/// fused kernel re-evaluates the predicate instead of spilling it: pass 1
-/// reduces each chunk to a single survivor count, the per-chunk counts are
-/// scanned sequentially (there are only `O(n / chunk)` of them), and pass 2
-/// streams the kept indices straight into `out` — about 20 bytes per element
-/// of flag/slot traffic gone, in exchange for one extra (cheap, cacheable)
-/// predicate evaluation.
+/// The kernel is fused.  The unfused two-pass compaction (the reference in
+/// `tests/fused_kernel_identity.rs`) materialises a full flag array
+/// (n × 4 B written, then read twice by the scan) and a full slot array
+/// (n × 4 B written, read by the scatter) just to ferry the predicate's
+/// verdict between rounds.  This kernel re-evaluates the predicate instead
+/// of spilling it: pass 1 reduces each chunk to a single survivor count,
+/// the per-chunk counts are scanned sequentially (there are only
+/// `O(n / chunk)` of them), and pass 2 streams the kept indices straight
+/// into `out` — about 20 bytes per element of flag/slot traffic gone, in
+/// exchange for one extra (cheap, cacheable) predicate evaluation.
 ///
 /// The predicate must be pure: it is called up to twice per index and the
 /// two calls must agree.  Charges on the [`DepthTracker`] are bit-identical
-/// to the unfused kernel on every input size, so the fused and unfused forms
-/// are interchangeable under depth/work assertions.
+/// to the unfused compaction on every input size, so the two forms are
+/// interchangeable under depth/work assertions.
 pub fn compact_indices_fused_into_idx<F>(
     n: usize,
     keep: F,
@@ -233,45 +181,6 @@ mod tests {
         let t = DepthTracker::new();
         let idx = compact_indices(9, |i| i % 2 == 0, &t);
         assert_eq!(idx, vec![0, 2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn into_variant_matches_allocating_compaction() {
-        let t = DepthTracker::new();
-        let mut ws = Workspace::new();
-        let mut out = Vec::new();
-        for n in [0usize, 1, 9, 3000, 50_000, 2047] {
-            compact_indices_into_idx(n, |i| i % 3 == 1, &mut out, &mut ws, &t);
-            assert_eq!(out, compact_indices(n, |i| i % 3 == 1, &t), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn idx_variant_matches_usize_variant() {
-        let t = DepthTracker::new();
-        let mut ws = Workspace::new();
-        let mut out = Vec::new();
-        for n in [0usize, 1, 9, 3000, 50_000] {
-            compact_indices_into_idx(n, |i| i % 3 == 1, &mut out, &mut ws, &t);
-            let want: Vec<usize> = (0..n).filter(|&i| i % 3 == 1).collect();
-            let got: Vec<usize> = out.iter().map(|i| i.get()).collect();
-            assert_eq!(got, want, "n = {n}");
-        }
-    }
-
-    #[test]
-    fn fused_variant_matches_unfused_outputs_and_accounting() {
-        let mut ws = Workspace::new();
-        let mut out_fused = Vec::new();
-        let mut out_ref = Vec::new();
-        for n in [0usize, 1, 9, 2047, 2048, 3000, 50_000] {
-            let tf = DepthTracker::new();
-            compact_indices_fused_into_idx(n, |i| i % 3 == 1, &mut out_fused, &mut ws, &tf);
-            let tu = DepthTracker::new();
-            compact_indices_into_idx(n, |i| i % 3 == 1, &mut out_ref, &mut ws, &tu);
-            assert_eq!(out_fused, out_ref, "n = {n}");
-            assert_eq!(tf.stats(), tu.stats(), "accounting differs at n = {n}");
-        }
     }
 
     #[test]

@@ -51,9 +51,7 @@ pub mod scheduler;
 pub mod tracker;
 pub mod workspace;
 
-pub use compact::{
-    compact_indices, compact_indices_fused_into_idx, compact_indices_into_idx, compact_with,
-};
+pub use compact::{compact_indices, compact_indices_fused_into_idx, compact_with};
 pub use idx::Idx;
 pub use pointer::{
     list_rank, min_label_cycles_idx, pointer_jump_roots, pointer_jump_roots_into_idx,

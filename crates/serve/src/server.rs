@@ -10,24 +10,15 @@ use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use pm_popular::delta::{Delta, DeltaMode, DeltaSolver, DeltaStats};
+use pm_popular::delta::{Delta, DeltaSolver, DeltaStats};
 use pm_popular::instance::{Assignment, PrefInstance};
 use pm_popular::solver::PopularSolver;
+pub use pm_popular::solver::SolveMode;
 use pm_popular::PopularError;
 
 use crate::degrade::{serial_dictatorship, FailureDisposition, Gate, HealthMap};
 use crate::faults::{InjectedFault, Spec};
 use crate::queue::{BoundedQueue, PushError};
-
-/// Which pipeline a request wants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolveMode {
-    /// Algorithm 1: any popular matching.
-    #[default]
-    Popular,
-    /// Algorithms 1 + 3: a maximum-cardinality popular matching.
-    MaxCardinality,
-}
 
 /// A solve request.
 ///
@@ -518,10 +509,6 @@ impl Server {
         inst: &PrefInstance,
         mode: SolveMode,
     ) -> Result<(), ServeError> {
-        let mode = match mode {
-            SolveMode::Popular => DeltaMode::Popular,
-            SolveMode::MaxCardinality => DeltaMode::MaxCardinality,
-        };
         let solver = DeltaSolver::install(inst, mode).map_err(ServeError::Solve)?;
         let state = Arc::new(DeltaState {
             solver: Mutex::new(solver),

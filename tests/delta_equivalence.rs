@@ -17,6 +17,9 @@
 //!   from-scratch solve errs and heals the same way, and a poisoned solver
 //!   ([`PopularError::SolverPoisoned`]) refuses service until `recover`
 //!   re-solves fully to the same matching a fresh solver produces.
+//! * **Full solves are the solver's** — the install solve and a structural
+//!   rebuild report the same answer and the same PRAM depth/work as a
+//!   [`PopularSolver`] on the same instance.
 
 use pm_instances::churn::{self, ChurnConfig};
 use popular_matchings::prelude::*;
@@ -38,14 +41,23 @@ fn base(n: usize, seed: u64) -> PrefInstance {
     })
 }
 
-/// From-scratch reference: a cold solve of `inst` in the matching mode.
-fn fresh_solve(mode: DeltaMode, inst: &PrefInstance) -> Result<Vec<Idx>, PopularError> {
+/// From-scratch reference: a cold solve of `inst` in the matching mode,
+/// with the solver's PRAM accounting.
+fn fresh_solve_with_stats(
+    mode: DeltaMode,
+    inst: &PrefInstance,
+) -> (Result<Vec<Idx>, PopularError>, PramStats) {
     let mut solver = PopularSolver::new(0, 0);
     let m = match mode {
         DeltaMode::Popular => solver.solve(inst),
         DeltaMode::MaxCardinality => solver.solve_max_cardinality(inst),
     };
-    m.map(|m| m.as_slice().to_vec())
+    let m = m.map(|m| m.as_slice().to_vec());
+    (m, solver.stats())
+}
+
+fn fresh_solve(mode: DeltaMode, inst: &PrefInstance) -> Result<Vec<Idx>, PopularError> {
+    fresh_solve_with_stats(mode, inst).0
 }
 
 #[test]
@@ -116,6 +128,55 @@ fn delta_trajectories_are_identical_across_thread_counts() {
                 t1, t4,
                 "{mode:?} trajectory must be width-independent (n = {n})"
             );
+        }
+    }
+}
+
+#[test]
+fn full_solves_match_the_solver_in_answer_and_accounting() {
+    // The server's mode names the delta layer's mode type, so both modes
+    // here are `pm_serve::SolveMode` values.
+    use popular_matchings::serve::SolveMode;
+    let cutoff = popular_matchings::pram::SEQUENTIAL_CUTOFF;
+    for mode in [SolveMode::Popular, SolveMode::MaxCardinality] {
+        // Both sides of the cut-off, so the reduced-graph build also takes
+        // its parallel path.
+        for (seed, n) in [(41u64, 300usize), (42, cutoff + 500)] {
+            let inst = base(n, seed);
+            for threads in [1usize, 4] {
+                pool(threads).install(|| {
+                    let mut ds = DeltaSolver::install(&inst, mode).expect("solvable base");
+                    // The install solve is the last flush until `flush` runs.
+                    let pram = ds.pram_stats();
+                    let got = (ds.flush().map(|m| m.as_slice().to_vec()), pram);
+                    assert_eq!(
+                        got,
+                        fresh_solve_with_stats(mode, &inst),
+                        "{mode:?} install, n = {n}, {threads} threads"
+                    );
+
+                    // A structural rebuild: a new post, then an edit that
+                    // puts it first on applicant 0's list.
+                    let np = inst.num_posts();
+                    let mut prefs = inst.strict_list(0).expect("strict list");
+                    prefs.insert(0, np);
+                    ds.apply(&Delta::AddPost).unwrap();
+                    ds.apply(&Delta::EditPrefList {
+                        applicant: 0,
+                        prefs,
+                    })
+                    .unwrap();
+                    let full_before = ds.stats().full_solves;
+                    let m = ds.flush().map(|m| m.as_slice().to_vec());
+                    assert_eq!(ds.stats().full_solves, full_before + 1);
+                    let snap = ds.snapshot_instance().expect("snapshot of live instance");
+                    assert_eq!(
+                        (m, ds.pram_stats()),
+                        fresh_solve_with_stats(mode, &snap),
+                        "{mode:?} rebuild, n = {n}, {threads} threads"
+                    );
+                });
+            }
         }
     }
 }

@@ -19,13 +19,13 @@ use pm_graph::connected::{
 use pm_graph::functional::{extract_cycles_marked_idx, on_cycle_of_idx, FunctionalGraph};
 use pm_graph::BipartiteGraph;
 use pm_matching::two_regular::two_regular_perfect_matching_parallel;
-use pm_pram::compact::{
-    compact_indices, compact_indices_fused_into_idx, compact_indices_into_idx, compact_with,
-};
+use pm_pram::compact::{compact_indices, compact_indices_fused_into_idx, compact_with};
 use pm_pram::pointer::{
     list_rank, pointer_jump_roots, pointer_jump_roots_into_idx, PointerJumpResult,
 };
+use pm_pram::scan::csr_offsets_into_u32;
 use pm_pram::{DepthTracker, Idx, PramStats, Workspace, SEQUENTIAL_CUTOFF};
+use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 
 fn pool(threads: usize) -> rayon::ThreadPool {
@@ -60,6 +60,56 @@ fn draws(seed: u64) -> impl FnMut(usize) -> usize {
     }
 }
 
+/// The unfused two-pass compaction, the reference the fused kernel is
+/// checked against: the predicate is evaluated into a 0/1 flag array, a
+/// CSR scan turns the flags into output slots, and a scatter round writes
+/// the kept indices.
+fn compact_indices_into_idx<F>(
+    n: usize,
+    keep: F,
+    out: &mut Vec<Idx>,
+    ws: &mut Workspace,
+    tracker: &DepthTracker,
+) where
+    F: Fn(usize) -> bool + Send + Sync,
+{
+    // Round 1: evaluate the predicate into 0/1 counts.
+    tracker.round();
+    tracker.work(n as u64);
+    let mut flags = ws.take_u32(n, 0);
+    if n >= SEQUENTIAL_CUTOFF {
+        flags
+            .par_iter_mut()
+            .enumerate()
+            .for_each(|(i, f)| *f = u32::from(keep(i)));
+    } else {
+        for (i, f) in flags.iter_mut().enumerate() {
+            *f = u32::from(keep(i));
+        }
+    }
+
+    // Scan rounds: each kept element's output slot (CSR boundaries; the
+    // trailing total slot is ignored).
+    let mut slots = ws.take_u32_empty();
+    let mut chunk_scratch = ws.take_u32_empty();
+    let total = csr_offsets_into_u32(&flags, &mut slots, &mut chunk_scratch, tracker);
+
+    // Scatter round.
+    tracker.round();
+    tracker.work(n as u64);
+    out.clear();
+    out.resize(total, Idx::ZERO);
+    for i in 0..n {
+        if flags[i] == 1 {
+            out[slots[i] as usize] = Idx::new(i);
+        }
+    }
+
+    ws.put_u32(flags);
+    ws.put_u32(slots);
+    ws.put_u32(chunk_scratch);
+}
+
 /// Everything observable from one compaction run.
 #[derive(Debug, PartialEq, Eq)]
 struct CompactFingerprint {
@@ -91,6 +141,8 @@ fn fused_compaction_is_bit_identical_to_unfused_across_widths() {
     let keep = |i: usize| (i.wrapping_mul(2654435761) >> 7) % 8 < 3;
     for n in sizes() {
         let reference = compact(n, keep, false);
+        let filtered: Vec<Idx> = (0..n).filter(|&i| keep(i)).map(Idx::new).collect();
+        assert_eq!(reference.kept, filtered, "unfused reference (n = {n})");
         for threads in [1usize, 4] {
             let fused = pool(threads).install(|| compact(n, keep, true));
             assert_eq!(
