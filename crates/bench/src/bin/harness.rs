@@ -53,8 +53,10 @@
 //! to a warning when the runner has fewer hardware threads than that width.
 //! `--profile` (its own mode, takes precedence) prints the per-kernel phase
 //! table — reduce / algorithm2 / promote / census / jump wall time per warm
-//! solve, plus the Hopcroft–Karp referee's bfs / dfs / augment phases per
-//! warm `solve_ties` — summed from each solve's
+//! solve, reduce / algorithm2 / promote / algorithm3 per warm
+//! `solve_max_cardinality` on the crowded workload (after its width-1
+//! zero-allocation gate), plus the Hopcroft–Karp referee's bfs / dfs /
+//! augment phases per warm `solve_ties` — summed from each solve's
 //! [`PopularSolver::phase_times`].  An unknown flag, a
 //! value flag without its value, or a `--workloads` glob that selects no
 //! workload prints the usage line and exits 2 without writing anything.
@@ -134,10 +136,13 @@ use pm_instances::paper;
 use pm_matching::hopcroft_karp::hopcroft_karp;
 use pm_popular::algorithm1::{popular_matching_nc, popular_matching_run};
 use pm_popular::delta::{DeltaMode, DeltaSolver};
-use pm_popular::instance::PrefInstance;
-use pm_popular::max_cardinality::maximum_cardinality_popular_matching_nc;
+use pm_popular::instance::{Assignment, PrefInstance};
+use pm_popular::max_cardinality::{
+    improve_to_maximum_cardinality_ws, maximum_cardinality_popular_matching_nc,
+};
 use pm_popular::optimal::{fair_popular_matching, rank_maximal_popular_matching};
 use pm_popular::profile::Profile;
+use pm_popular::reduced::ReducedGraph;
 use pm_popular::relabel::{Relabeled, RelabeledSolver};
 use pm_popular::sequential::popular_matching_sequential;
 use pm_popular::solver::PopularSolver;
@@ -145,7 +150,7 @@ use pm_popular::switching::{ComponentKind, SwitchingGraph};
 use pm_popular::ties::popular_matching_rank1;
 use pm_popular::verify::is_popular_characterization;
 use pm_popular::PopularError;
-use pm_pram::{DepthTracker, Phase, PhaseTimes};
+use pm_pram::{DepthTracker, Phase, PhaseTimes, Workspace};
 use pm_serve::faults::Spec;
 use pm_serve::{DeltaRequest, Request, ServeError, Server, ServerConfig, SolveMode, StatsSnapshot};
 use pm_stable::next::{next_stable_matchings, NextStableOutcome};
@@ -498,7 +503,7 @@ fn e6_max_cardinality(quick: bool) {
         vec![4_000, 16_000, 64_000, 256_000]
     };
     let mut t = Table::new(
-        "E6 — Theorem 10: maximum-cardinality popular matching (Algorithm 3), paired-pressure workload",
+        "E6 — Theorem 10: maximum-cardinality popular matching (Algorithm 3 from the minimum popular matching), paired-pressure workload",
         &["n (applicants)", "minimum popular size", "Algorithm 1 size", "maximum popular size", "spread", "algorithm 3 ms", "PRAM depth"],
     );
     for &n in &sizes {
@@ -506,8 +511,8 @@ fn e6_max_cardinality(quick: bool) {
         let tracker = DepthTracker::new();
         let run = popular_matching_run(&inst, &tracker).expect("pressured workload is solvable");
         // The smallest popular matching (cardinality weights, minimised): the
-        // worst outcome Theorem 9 allows — the spread to the maximum is what
-        // Algorithm 3 is able to recover from an adversarial starting point.
+        // worst outcome Theorem 9 allows, and Algorithm 3's starting point —
+        // Algorithm 1's own answer is already maximum on this family.
         let min = pm_popular::optimal::optimal_popular_matching(
             &inst,
             |a, p| {
@@ -521,12 +526,7 @@ fn e6_max_cardinality(quick: bool) {
             &tracker,
         )
         .unwrap();
-        let ((), alg3_t) = time_best(2, || {
-            let tracker = DepthTracker::new();
-            let _ = maximum_cardinality_popular_matching_nc(&inst, &tracker).unwrap();
-        });
-        let tracker2 = DepthTracker::new();
-        let max = maximum_cardinality_popular_matching_nc(&inst, &tracker2).unwrap();
+        let (max, alg3_t, depth) = time_algorithm3(&run.reduced, &min);
         t.row(vec![
             n.to_string(),
             min.size(&inst).to_string(),
@@ -534,10 +534,66 @@ fn e6_max_cardinality(quick: bool) {
             max.size(&inst).to_string(),
             (max.size(&inst) - min.size(&inst)).to_string(),
             ms(alg3_t),
-            tracker2.stats().depth.to_string(),
+            depth.to_string(),
         ]);
     }
     t.print();
+
+    let sizes: [usize; 2] = if quick {
+        [10_000, 100_000]
+    } else {
+        [100_000, 1_000_000]
+    };
+    let mut t = Table::new(
+        "E6b — Algorithm 3 from Algorithm 1's answer, crowded workload (lists of 1–3 posts over n/2 + 1 posts)",
+        &["n (applicants)", "on last resorts after Algorithm 1", "applicants moved", "algorithm 3 ms", "PRAM depth"],
+    );
+    for n in sizes {
+        let inst = workloads::crowded(n);
+        let run = popular_matching_run(&inst, &DepthTracker::new())
+            .expect("crowded workload is solvable");
+        let (max, alg3_t, depth) = time_algorithm3(&run.reduced, &run.matching);
+        let start = run.matching.as_slice();
+        let on_last_resort = start
+            .iter()
+            .filter(|p| inst.is_last_resort(p.get()))
+            .count();
+        let moved = (0..n).filter(|&a| max.as_slice()[a] != start[a]).count();
+        t.row(vec![
+            n.to_string(),
+            on_last_resort.to_string(),
+            moved.to_string(),
+            ms(alg3_t),
+            depth.to_string(),
+        ]);
+    }
+    t.print();
+}
+
+/// Algorithm 3 from `start` on a caller-held workspace: the improved
+/// matching, the best of three warm laps (after one cold lap; each lap
+/// copies `start` in untimed) and one lap's PRAM depth.
+fn time_algorithm3(reduced: &ReducedGraph, start: &Assignment) -> (Assignment, Duration, u64) {
+    let mut ws = Workspace::new();
+    let mut m = start.clone();
+    let mut best = Duration::MAX;
+    let mut depth = 0;
+    for _ in 0..4 {
+        m.as_mut_slice().copy_from_slice(start.as_slice());
+        let tracker = DepthTracker::new();
+        let lap = Instant::now();
+        improve_to_maximum_cardinality_ws(
+            reduced.f_slice(),
+            reduced.s_slice(),
+            reduced.num_posts(),
+            m.as_mut_slice(),
+            &mut ws,
+            &tracker,
+        );
+        best = best.min(lap.elapsed());
+        depth = tracker.stats().depth;
+    }
+    (m, best, depth)
 }
 
 // --------------------------------------------------------------------- E7
@@ -1666,6 +1722,40 @@ fn print_profile(quick: bool) {
         }));
     }
     t.print();
+
+    // Maximum-cardinality solves on the crowded family, where Algorithm 3
+    // moves applicants.  The width-1 zero-allocation gate runs first, so
+    // `--profile --quick` also proves that warm Algorithm 3 allocates
+    // nothing.
+    let phases = [
+        Phase::Reduce,
+        Phase::Algorithm2,
+        Phase::Promote,
+        Phase::Algorithm3,
+    ];
+    let mut t3 = phase_table(
+        "Per-kernel phase wall time, ms per warm solve_max_cardinality (crowded)",
+        &phases,
+    );
+    for &n in sizes {
+        let inst = workloads::crowded(n);
+        let mut solver = PopularSolver::new(inst.num_applicants(), inst.num_posts());
+        let mut lap = || {
+            black_box(
+                solver
+                    .solve_max_cardinality(&inst)
+                    .expect("crowded workload is solvable")
+                    .num_applicants(),
+            );
+            solver.phase_times()
+        };
+        zero_alloc_gate("warm solve_max_cardinality (crowded)", n, 1, || {
+            lap();
+        })
+        .unwrap_or_else(|e| gate_failed(&e));
+        t3.row(phase_row(n, &phases, lap));
+    }
+    t3.print();
 
     // The Hopcroft–Karp referee of the ties pipeline, same protocol: warm
     // `solve_ties` laps on the bipartite workload.

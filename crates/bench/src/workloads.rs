@@ -65,6 +65,22 @@ pub fn paired_pressure(n_pairs: usize) -> PrefInstance {
     PrefInstance::new_strict(num_posts, lists).expect("paired instance is valid")
 }
 
+/// E6 — the "crowded" family: `n` applicants with strict lists of 1–3
+/// uniform posts over `n/2 + 1` posts (`pm_instances::generators::
+/// short_lists`).  About half the applicants end Algorithm 1 on their last
+/// resorts, and Algorithm 3 moves a few per cent of them onto real posts,
+/// so this is the family on which the maximum-cardinality step does work;
+/// on the other families Algorithm 1's answer is already maximum.
+pub fn crowded(n: usize) -> PrefInstance {
+    let cfg = GeneratorConfig {
+        num_applicants: n,
+        num_posts: n / 2 + 1,
+        list_len: 3,
+        seed: SEED ^ 0xC20D ^ n as u64,
+    };
+    generators::short_lists(&cfg)
+}
+
 /// E4 — the worst-case peeling family: an instance whose reduced graph is a
 /// complete binary tree of the given depth (`n ≈ 2^(depth+1)` applicants),
 /// which Algorithm 2 peels one level per round.

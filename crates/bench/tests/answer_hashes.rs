@@ -4,12 +4,17 @@
 //! recorded here, hashed with FNV-1a-64 over each applicant's post id (4
 //! little-endian bytes, in applicant order).  On feasible instances
 //! `solve_max_cardinality` must return the same hash as `solve` (on these
-//! instances Algorithm 3 finds no larger popular matching to switch to).
+//! instances Algorithm 3 finds no larger popular matching to switch to),
+//! except on the crowded family, where Algorithm 3 moves applicants off
+//! their last resorts and its answer has a hash of its own.
 //!
 //! The values were recorded from an earlier formulation of Algorithm 2
 //! that list-ranked four arcs per applicant in every peel round.  The
 //! chain-only formulation, and any later rewrite of the peeling loop or the
-//! even-cycle finish, must keep every answer bit-identical to it.
+//! even-cycle finish, must keep every answer bit-identical to it.  The
+//! crowded family's hashes were recorded from the formulation of
+//! Algorithm 3 that summed margins with weighted pointer doubling; the
+//! telescoped formulation must keep them bit-identical too.
 
 use pm_bench::workloads;
 use pm_popular::error::PopularError;
@@ -33,7 +38,18 @@ fn fnv1a64(m: &Assignment) -> u64 {
     h
 }
 
-fn check(name: &str, inst: &PrefInstance, (hash, rounds): Expected) {
+fn check(name: &str, inst: &PrefInstance, expected: Expected) {
+    check_with_max_cardinality(name, inst, expected, expected.0);
+}
+
+/// [`check`] on an instance where `solve_max_cardinality` returns
+/// `max_hash` rather than `solve`'s hash.
+fn check_with_max_cardinality(
+    name: &str,
+    inst: &PrefInstance,
+    (hash, rounds): Expected,
+    max_hash: Option<u64>,
+) {
     for threads in [1, 4] {
         let pool = ThreadPoolBuilder::new()
             .num_threads(threads)
@@ -52,13 +68,13 @@ fn check(name: &str, inst: &PrefInstance, (hash, rounds): Expected) {
                 rounds,
                 "{name} at width {threads}: peel rounds"
             );
-            if let Some(hash) = hash {
+            if let Some(max_hash) = max_hash {
                 let m = solver
                     .solve_max_cardinality(inst)
                     .unwrap_or_else(|e| panic!("{name} at width {threads}: {e}"));
                 assert_eq!(
                     fnv1a64(m),
-                    hash,
+                    max_hash,
                     "{name} at width {threads}: max-cardinality hash"
                 );
             }
@@ -90,6 +106,12 @@ fn answers_at_ten_thousand_match_the_recorded_hashes() {
         &workloads::peeling_tree(17),
         (Some(8_640_229_170_302_323_542), 17),
     );
+    check_with_max_cardinality(
+        "crowded",
+        &workloads::crowded(n),
+        (Some(3_695_454_184_702_181_463), 3),
+        Some(10_897_078_187_449_430_154),
+    );
 }
 
 #[test]
@@ -111,4 +133,10 @@ fn answers_at_one_hundred_thousand_match_the_recorded_hashes() {
         (Some(5_864_652_058_364_395_445), 1),
     );
     check("contended", &workloads::contended(n), (None, 3));
+    check_with_max_cardinality(
+        "crowded",
+        &workloads::crowded(n),
+        (Some(7_295_273_206_355_684_269), 4),
+        Some(17_061_367_227_411_336_688),
+    );
 }

@@ -228,6 +228,31 @@ pub fn last_resort_pressure(cfg: &GeneratorConfig, a1_fraction: f64) -> PrefInst
     PrefInstance::new_strict(cfg.num_posts, lists).expect("generator produces valid instances")
 }
 
+/// Short uniform strict lists: every applicant ranks between 1 and
+/// `list_len` distinct posts, the length and each post drawn uniformly.
+/// With about half as many posts as applicants most posts are somebody's
+/// first choice, so many applicants have `s(a) = l(a)`: Algorithm 1 leaves
+/// them on their last resorts and Algorithm 3 moves some of them onto real
+/// posts.  Sampling is by rejection, `O(list_len²)` per applicant.
+pub fn short_lists(cfg: &GeneratorConfig) -> PrefInstance {
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let max_len = cfg.clamped_len();
+    let lists = (0..cfg.num_applicants)
+        .map(|_| {
+            let len = rng.random_range(1..=max_len);
+            let mut list = Vec::with_capacity(len);
+            while list.len() < len {
+                let p = rng.random_range(0..cfg.num_posts);
+                if !list.contains(&p) {
+                    list.push(p);
+                }
+            }
+            list
+        })
+        .collect();
+    PrefInstance::new_strict(cfg.num_posts, lists).expect("generator produces valid instances")
+}
+
 /// An instance whose reduced graph is a complete binary tree of the given
 /// depth: posts are the tree nodes (even levels are f-posts, odd levels are
 /// s-posts), applicants are the tree edges.  Algorithm 2's degree-1 peeling

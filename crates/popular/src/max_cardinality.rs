@@ -10,18 +10,30 @@
 //! components — so maximising the total margin decomposes component-wise:
 //! apply every switching cycle with positive margin, and in every tree
 //! component the switching path of largest margin if that margin is
-//! positive.  All margins are computed with one weighted pointer-doubling
-//! pass ([`SwitchingGraph::margins_to_sink`]), so the whole algorithm is
-//! `O(log² n)` depth as claimed by Theorem 10.
+//! positive.
+//!
+//! The margin telescopes.  The edge `p → succ(p)` of `G_M` has margin
+//! `real(succ(p)) − real(p)` (Definition 4), where `real(x)` is 1 for a
+//! real post and 0 for a last resort, so a switching path from `q` to its
+//! sink `r` has margin `real(r) − real(q) ∈ {−1, 0, +1}`, and a switching
+//! cycle has margin 0.  A positive move is therefore a path from a matched
+//! last resort to an unmatched real post, and "largest margin, ties to the
+//! smallest start" elects, for every real sink, the smallest matched last
+//! resort whose walk ends there.  No margin is summed: plain root pointer
+//! jumping over `G_M` finds every walk's endpoint, so Algorithm 3 adds
+//! `⌈log₂(|P| + |A|)⌉ + 3` rounds, `O(log n)` depth, to Algorithm 1
+//! (the switching-path walks are charged as work, not depth).  When
+//! Algorithm 1 leaves no applicant on a last resort, one round finds that
+//! there is nothing to do.
 
 use pm_pram::tracker::DepthTracker;
-use pm_pram::{Idx, Workspace};
+use pm_pram::{pointer_jump_roots_into_idx, Idx, Workspace};
 
 use crate::algorithm1::popular_matching_run;
 use crate::error::PopularError;
 use crate::instance::{Assignment, PrefInstance};
 use crate::reduced::ReducedGraph;
-use crate::switching::{margins_and_roots_of, ComponentKind, SwitchingGraph};
+use crate::switching::{ComponentKind, SwitchingGraph};
 
 /// Improves an arbitrary popular matching to a maximum-cardinality popular
 /// matching by applying the positive-margin switching moves (the body of
@@ -44,21 +56,18 @@ pub fn improve_to_maximum_cardinality(
     improved
 }
 
-/// Allocation-free core of Algorithm 3 on raw reduced-graph buffers: builds
-/// the switching graph `G_M` of `matched` in checked-out scratch, computes
-/// every margin-to-sink with one weighted pointer-doubling pass, and applies
-/// the best positive-margin switching path of every tree component in
-/// place.
+/// Allocation-free core of Algorithm 3 on raw reduced-graph buffers:
+/// applies in place, for every real sink of the switching graph `G_M` of
+/// `matched`, the switching path from the smallest matched last resort
+/// whose walk ends there (the module docs show that these are exactly the
+/// positive-margin moves).
 ///
-/// Switching *cycles* are never applied: the margin of the edge leaving `p`
-/// is `real(succ(p)) − real(p)`, so summed around a cycle (where every
-/// vertex appears once as source and once as target) the margin telescopes
-/// to exactly 0, never positive — the structural fact the cycle tests
-/// assert.  Tree components are handled without materialising the component
-/// decomposition: the frozen pointer-doubling roots identify each vertex's
-/// sink directly, and a single election pass picks the best s-post per
-/// sink, matching the component-wise `max_by_key((margin, Reverse(q)))`
-/// selection of the sequential baseline.
+/// One round first scans `matched` and returns if no applicant is on a
+/// last resort.  Otherwise `G_M` is built in checked-out scratch with sinks
+/// pointing at themselves, and [`pointer_jump_roots_into_idx`] takes every
+/// post to the end of its walk.  A walk inside a cycle component never
+/// ends at a sink, so cycles need no marking.  An election round then
+/// picks the starts, ascending over applicants, and the paths are walked.
 pub fn improve_to_maximum_cardinality_ws(
     f: &[Idx],
     s: &[Idx],
@@ -68,90 +77,72 @@ pub fn improve_to_maximum_cardinality_ws(
     tracker: &DepthTracker,
 ) {
     let n_a = f.len();
-    let total = num_posts + n_a;
     debug_assert_eq!(matched.len(), n_a);
-
-    // Build G_M: succ[p] = the other reduced post of the applicant matched
-    // to p, labelled by that applicant (mirrors `SwitchingGraph::build`).
-    // Both arrays are Idx with the NONE sentinel — a quarter of the bytes
-    // the former `Option<usize>` cells moved.
     tracker.phase();
     tracker.round();
     tracker.work(n_a as u64);
-    let mut succ = ws.take_idx(total, Idx::NONE);
-    let mut out_applicant = ws.take_idx(total, Idx::NONE);
-    let mut in_graph = ws.take_bool(total, false);
-    let mut is_s_post = ws.take_bool(total, false);
+    if matched.iter().all(|m| m.get() < num_posts) {
+        return;
+    }
+
+    // Build G_M: succ[p] = the other reduced post of the applicant matched
+    // to p, out_applicant[p] = that applicant; an unmatched post is a sink
+    // and points at itself (f(a) ≠ s(a), so no matched post does).
+    let total = num_posts + n_a;
+    tracker.round();
+    tracker.work(n_a as u64);
+    let mut succ = ws.take_idx_empty();
+    succ.extend((0..total).map(Idx::new));
+    // Read only at matched posts, each of which the loop below writes.
+    let mut out_applicant = ws.take_idx_dirty(total, Idx::NONE);
     for a in 0..n_a {
-        in_graph[f[a]] = true;
-        in_graph[s[a]] = true;
-        is_s_post[s[a]] = true;
         let m = matched[a];
         debug_assert!(
             m == f[a] || m == s[a],
             "switching graph requires a Theorem 1 matching"
         );
-        let other = if m == f[a] { s[a] } else { f[a] };
-        debug_assert!(succ[m].is_none(), "post {m} matched to two applicants");
-        succ[m] = other;
+        debug_assert_eq!(succ[m], m, "post {m} matched to two applicants");
+        succ[m] = if m == f[a] { s[a] } else { f[a] };
         out_applicant[m] = Idx::new(a);
     }
 
-    // Margin of the edge leaving post p: +1 if its applicant moves from a
-    // last resort onto a real post, −1 for the reverse, else 0.
-    let mut on_cycle = ws.take_bool_empty();
-    pm_graph::on_cycle_of_idx(&succ, &mut on_cycle, ws, tracker);
-    let (margins, roots) = {
-        let succ_ref = &succ;
-        let edge_margin = |p: usize| -> i32 {
-            let q = succ_ref[p];
-            debug_assert!(q.is_some(), "edge margin of a matched post");
-            i32::from(q.get() < num_posts) - i32::from(p < num_posts)
-        };
-        margins_and_roots_of(&succ, &on_cycle, edge_margin, ws, tracker)
-    };
-    ws.put_bool(on_cycle);
+    let mut root = ws.take_idx_empty();
+    let mut dist = ws.take_u32_empty();
+    let mut ptr_scratch = ws.take_idx_empty();
+    let mut dist_scratch = ws.take_u32_empty();
+    pointer_jump_roots_into_idx(
+        &succ,
+        &mut root,
+        &mut dist,
+        &mut ptr_scratch,
+        &mut dist_scratch,
+        tracker,
+    );
 
-    // Election round: for every true sink, the best switching-path start —
-    // the s-post with the largest margin (ties to the smallest post, which
-    // ascending iteration with a strict `>` gives for free).  The posts
-    // examined are charged through a local accumulator, one atomic add for
-    // the whole pass.
+    // Election round: for every real sink, the first applicant in
+    // ascending order whose last resort's walk ends there.  Last resort
+    // l(a) is post num_posts + a, so that is the smallest start.
     tracker.round();
-    tracker.work(total as u64);
-    let mut best_margin = ws.take_i32(total, i32::MIN);
-    let mut best_start = ws.take_idx(total, Idx::NONE);
-    let mut charged = tracker.local();
-    for q in 0..total {
-        if !in_graph[q] || !is_s_post[q] || succ[q].is_none() {
+    tracker.work(n_a as u64);
+    let mut best_start = ws.take_idx(num_posts, Idx::NONE);
+    for &q in matched.iter() {
+        if q.get() < num_posts {
             continue;
         }
-        charged.add(1);
-        let r = roots[q];
-        if succ[r].is_some() {
-            continue; // r is a cycle entry, not a sink: a cycle component
-        }
-        if margins[q] > best_margin[r] {
-            best_margin[r] = margins[q];
-            best_start[r] = Idx::new(q);
+        let r = root[q];
+        if r.get() < num_posts && succ[r] == r && best_start[r].is_none() {
+            best_start[r] = q;
         }
     }
-    drop(charged);
 
-    // Apply the positive-margin switching paths (disjoint across
-    // components, total walk length ≤ |P|).
+    // Apply the elected switching paths (disjoint across components, total
+    // walk length ≤ |P|).
     let mut charged = tracker.local();
-    for r in 0..total {
-        if best_start[r].is_none() || best_margin[r] <= 0 {
-            continue;
-        }
-        let mut v = best_start[r];
-        while succ[v].is_some() {
-            let next = succ[v];
-            let a = out_applicant[v];
-            debug_assert!(a.is_some(), "path posts are matched");
-            matched[a] = next;
-            v = next;
+    for &q in best_start.iter().filter(|q| q.is_some()) {
+        let mut v = q;
+        while succ[v] != v {
+            matched[out_applicant[v]] = succ[v];
+            v = succ[v];
             charged.add(1);
         }
     }
@@ -159,11 +150,10 @@ pub fn improve_to_maximum_cardinality_ws(
 
     ws.put_idx(succ);
     ws.put_idx(out_applicant);
-    ws.put_bool(in_graph);
-    ws.put_bool(is_s_post);
-    ws.put_i32(margins);
-    ws.put_idx(roots);
-    ws.put_i32(best_margin);
+    ws.put_idx(root);
+    ws.put_u32(dist);
+    ws.put_idx(ptr_scratch);
+    ws.put_u32(dist_scratch);
     ws.put_idx(best_start);
 }
 

@@ -354,6 +354,7 @@ pub(crate) fn solve_reduced_into(
             promote_into(f, s, is_f_post, matched, ws, tracker);
         }
         if mode == SolveMode::MaxCardinality {
+            let _span = tracker.span(Phase::Algorithm3);
             improve_to_maximum_cardinality_ws(f, s, num_posts, matched, ws, tracker);
         }
     }

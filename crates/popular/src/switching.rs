@@ -19,109 +19,11 @@
 use pm_graph::connected::{connected_components_idx_ws, ComponentLabelsIdx};
 use pm_graph::functional::{extract_cycles_marked_idx, on_cycle_of_idx, FunctionalGraph};
 use pm_pram::scan::csr_offsets_into_u32;
-use pm_pram::scheduler::RoundScheduler;
 use pm_pram::tracker::DepthTracker;
-use pm_pram::{Idx, Workspace, SEQUENTIAL_CUTOFF};
-
-use rayon::prelude::*;
+use pm_pram::{pointer_jump_roots_into_idx, Idx, Workspace};
 
 use crate::instance::Assignment;
 use crate::reduced::ReducedGraph;
-
-/// For every vertex of a pseudoforest given by `succ` (an [`Idx`] array,
-/// `Idx::NONE` marking sinks), the total weight of the path from it to its
-/// component's frozen endpoint, plus that endpoint: weighted pointer
-/// doubling in `O(log n)` rounds over two checked-out double buffers.
-/// Cycle vertices (per the caller-provided `on_cycle` marking, see
-/// [`on_cycle_of_idx`]) are frozen (weight 0, self-pointer) so tree
-/// vertices hanging off a cycle accumulate only up to the cycle entry and
-/// report that entry as their root, while true tree components accumulate
-/// up to their sink.  `edge_weight(p)` is the weight of the edge leaving
-/// `p` (only consulted for non-cycle vertices with a successor); weights
-/// are `i32` — margins are bounded by the vertex count, which the
-/// instance-size funnel keeps in 32-bit range.
-///
-/// Returns `(weights, roots)`, both checked out of `ws` — hand them back
-/// with `put_i32` / `put_idx` when done.  This is the parallel primitive
-/// Algorithm 3 uses to pick the best switching path of every tree component
-/// in one go ([`SwitchingGraph::margins_to_sink`] is a thin wrapper).
-pub fn margins_and_roots_of(
-    succ: &[Idx],
-    on_cycle: &[bool],
-    edge_weight: impl Fn(usize) -> i32,
-    ws: &mut Workspace,
-    tracker: &DepthTracker,
-) -> (Vec<i32>, Vec<Idx>) {
-    let n = succ.len();
-    if n == 0 {
-        return (ws.take_i32_empty(), ws.take_idx_empty());
-    }
-    debug_assert_eq!(on_cycle.len(), n);
-
-    let mut ptr = ws.take_idx_dirty(n, Idx::ZERO);
-    let mut acc = ws.take_i32(n, 0);
-    for (p, (ptr_p, acc_p)) in ptr.iter_mut().zip(acc.iter_mut()).enumerate() {
-        if succ[p].is_some() && !on_cycle[p] {
-            *ptr_p = succ[p];
-            *acc_p = edge_weight(p);
-        } else {
-            *ptr_p = Idx::new(p);
-        }
-    }
-
-    let rounds = if n <= 1 {
-        0
-    } else {
-        u64::from(usize::BITS - (n - 1).leading_zeros())
-    };
-    // Every doubling round overwrites every (ptr, acc) cell, so the round
-    // scheduler's overwrite step ping-pongs the two checked-out buffer
-    // pairs with no per-round allocation, cloning, or initial fill.
-    let ptr_scratch = ws.take_idx_dirty(n, Idx::ZERO);
-    let acc_scratch = ws.take_i32_dirty(n, 0);
-    // The frozen graph is a forest (cycle vertices are self-pointing), so
-    // pointer doubling converges; a round that changes no pointer is a
-    // fixpoint (frozen targets always carry weight 0, so the accumulators
-    // are stable too) and the loop stops early — the change flag is a pure
-    // function of the data, detected inside the round at no extra pass.
-    let mut sched =
-        RoundScheduler::from_buffers((ptr, acc), (ptr_scratch, acc_scratch), rounds, tracker);
-    for _ in 0..rounds {
-        let changed = sched.step_overwrite(n as u64, |(ptr, acc), (nptr, nacc)| {
-            let write = |p: usize, np: &mut Idx, na: &mut i32| -> bool {
-                let q = ptr[p];
-                *np = ptr[q];
-                *na = acc[p] + acc[q];
-                *np != q
-            };
-            if n >= SEQUENTIAL_CUTOFF {
-                let changed = std::sync::atomic::AtomicBool::new(false);
-                nptr.par_iter_mut()
-                    .zip(nacc.par_iter_mut())
-                    .enumerate()
-                    .for_each(|(p, (np, na))| {
-                        if write(p, np, na) {
-                            changed.store(true, std::sync::atomic::Ordering::Relaxed);
-                        }
-                    });
-                changed.load(std::sync::atomic::Ordering::Relaxed)
-            } else {
-                let mut changed = false;
-                for (p, (np, na)) in nptr.iter_mut().zip(nacc.iter_mut()).enumerate() {
-                    changed |= write(p, np, na);
-                }
-                changed
-            }
-        });
-        if !changed {
-            break;
-        }
-    }
-    let ((ptr, acc), (ptr_scratch, acc_scratch), _) = sched.into_buffers();
-    ws.put_idx(ptr_scratch);
-    ws.put_i32(acc_scratch);
-    (acc, ptr)
-}
 
 /// What a component of the switching graph contains (Lemma 4 (iii)).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -433,26 +335,33 @@ impl SwitchingGraph {
 
     /// For every post, the total margin of the path from it to its
     /// component's sink (0 for sinks and for posts on cycles — cycles have
-    /// no path to a sink).  Computed with weighted pointer doubling in
-    /// `O(log n)` rounds; this is the parallel primitive Algorithm 3 uses to
-    /// pick the best switching path of every tree component in one go.
+    /// no path to a sink; a post hanging off a cycle gets the margin of its
+    /// path to the cycle entry).  Edge margins telescope, so this is
+    /// `real(end) − real(p)` where `end` is where the walk from `p` stops
+    /// once cycle posts are frozen, found by root pointer jumping in
+    /// `O(log n)` rounds.
     pub fn margins_to_sink(&self, tracker: &DepthTracker) -> Vec<i64> {
-        if self.total_posts == 0 {
-            return Vec::new();
-        }
-        let mut ws = Workspace::new();
         let on_cycle = self.cycle_marks(tracker);
-        let (margins, roots) = margins_and_roots_of(
-            &self.succ,
-            on_cycle,
-            |p| self.edge_margin(p) as i32,
-            &mut ws,
+        let frozen: Vec<Idx> = (0..self.total_posts)
+            .map(|p| match self.succ[p].some() {
+                Some(q) if !on_cycle[p] => Idx::new(q),
+                _ => Idx::new(p),
+            })
+            .collect();
+        let (mut end, mut dist) = (Vec::new(), Vec::new());
+        pointer_jump_roots_into_idx(
+            &frozen,
+            &mut end,
+            &mut dist,
+            &mut Vec::new(),
+            &mut Vec::new(),
             tracker,
         );
-        ws.put_idx(roots);
-        let out = margins.iter().map(|&m| i64::from(m)).collect();
-        ws.put_i32(margins);
-        out
+        let real = |p: usize| i64::from(!self.is_last_resort(p));
+        end.iter()
+            .enumerate()
+            .map(|(p, e)| real(e.get()) - real(p))
+            .collect()
     }
 
     /// Applies the switching cycle through `cycle_posts` to `matching`:

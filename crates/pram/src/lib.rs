@@ -22,9 +22,7 @@
 //!   find maximal paths of degree-2 vertices in Algorithm 2 ("the doubling
 //!   trick") and to locate roots and cycle representatives in pseudoforests;
 //! * [`compact`] — stream compaction and parallel filtering built on scans;
-//! * [`reduce`] — parallel reductions (sum / min / max / argmin / argmax);
-//! * [`scheduler`] — a small helper for writing round-synchronous loops with
-//!   automatic depth accounting.
+//! * [`reduce`] — parallel reductions (sum / min / max / argmin / argmax).
 //!
 //! # Example
 //!
@@ -47,7 +45,6 @@ pub mod idx;
 pub mod pointer;
 pub mod reduce;
 pub mod scan;
-pub mod scheduler;
 pub mod tracker;
 pub mod workspace;
 
@@ -62,7 +59,6 @@ pub use scan::{
     csr_offsets, csr_offsets_into_u32, offsets_from_counts, prefix_scan_exclusive,
     prefix_scan_inclusive, prefix_sum_exclusive, prefix_sum_inclusive,
 };
-pub use scheduler::RoundScheduler;
 pub use tracker::{DepthTracker, LocalWork, Phase, PhaseSpan, PhaseTimes, PramStats};
 pub use workspace::{EpochMap, EpochMarks, Workspace};
 

@@ -82,6 +82,13 @@ pub fn pointer_jump_roots(parent: &[usize], tracker: &DepthTracker) -> PointerJu
 /// which the instance-size funnel keeps below `u32::MAX`.  Parent pointers
 /// must be in range (debug-asserted; [`pointer_jump_roots`] checks them in
 /// every build).
+///
+/// The input may be a pseudoforest with cycles.  Every vertex whose chain
+/// reaches a root (`parent[r] == r`) is fewer than `n` hops from it, so it
+/// sits on that root after the `⌈log₂ n⌉` rounds, while a component with
+/// a cycle has no root, so none of its vertices ever points at one.
+/// Algorithm 3 (`pm_popular::max_cardinality`) relies on this to find the
+/// sinks of the switching graph without marking its cycles.
 pub fn pointer_jump_roots_into_idx(
     parent: &[Idx],
     root: &mut Vec<Idx>,

@@ -18,8 +18,9 @@ use std::time::{Duration, Instant};
 /// [`PhaseTimes`] table.
 ///
 /// [`Reduce`](Phase::Reduce), [`Algorithm2`](Phase::Algorithm2) and
-/// [`Promote`](Phase::Promote) partition a popular-matching solve;
-/// [`Census`](Phase::Census) and [`Jump`](Phase::Jump) nest inside
+/// [`Promote`](Phase::Promote) partition a popular-matching solve, and
+/// [`Algorithm3`](Phase::Algorithm3) follows them in a maximum-cardinality
+/// solve; [`Census`](Phase::Census) and [`Jump`](Phase::Jump) nest inside
 /// Algorithm 2; the three `Hk*` phases partition the Hopcroft–Karp referee
 /// of the ties pipeline.  The entries therefore do not sum to any single
 /// pipeline's wall time.  (Unrelated to [`PramStats::phases`], which counts
@@ -28,10 +29,14 @@ use std::time::{Duration, Instant};
 pub enum Phase {
     /// Reduced-graph construction (`pm_popular::reduced::build_into`).
     Reduce,
-    /// Algorithm 2 end to end (CSR build, peeling, even-cycle finish).
+    /// Algorithm 2 end to end (degree/XOR build, peeling, even-cycle
+    /// finish).
     Algorithm2,
     /// The promotion pass of Algorithm 1.
     Promote,
+    /// Algorithm 3, the maximum-cardinality step (zero on a `Popular`
+    /// solve).
+    Algorithm3,
     /// Algorithm 2's per-post degree and XOR build, with the alive and
     /// degree-1 post tallies.
     Census,
@@ -57,6 +62,7 @@ impl Phase {
             Phase::Reduce => "reduce",
             Phase::Algorithm2 => "algorithm2",
             Phase::Promote => "promote",
+            Phase::Algorithm3 => "algorithm3",
             Phase::Census => "census",
             Phase::Jump => "jump",
             Phase::HkBfs => "hk_bfs",

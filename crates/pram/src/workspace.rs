@@ -162,11 +162,10 @@ macro_rules! pool_methods {
 pub struct Workspace {
     bools: BufPool<bool>,
     // The 32-bit pools of the narrowed hot path (DESIGN.md §7): indices and
-    // sentinel arrays are `Idx`, counts/distances are `u32`, margins are
-    // `i32`, edge lists are `(Idx, Idx)`.
+    // sentinel arrays are `Idx`, counts/distances are `u32`, edge lists are
+    // `(Idx, Idx)`.
     idxs: BufPool<Idx>,
     u32s: BufPool<u32>,
-    i32s: BufPool<i32>,
     idx_pairs: BufPool<(Idx, Idx)>,
     atomics_u32: Vec<Vec<AtomicU32>>,
     // Panic-poisoning state (see the module docs): `epoch_open` is true
@@ -193,7 +192,6 @@ impl Workspace {
     );
     pool_methods!(take_idx, take_idx_empty, take_idx_dirty, put_idx, idxs, Idx);
     pool_methods!(take_u32, take_u32_empty, take_u32_dirty, put_u32, u32s, u32);
-    pool_methods!(take_i32, take_i32_empty, take_i32_dirty, put_i32, i32s, i32);
     pool_methods!(
         take_idx_pair,
         take_idx_pair_empty,
@@ -474,13 +472,10 @@ mod tests {
         assert_eq!(a, vec![Idx::NONE; 3]);
         let b = ws.take_u32(2, 7);
         assert_eq!(b, vec![7, 7]);
-        let c = ws.take_i32(2, -3);
-        assert_eq!(c, vec![-3, -3]);
         let d = ws.take_idx_pair_empty();
         assert!(d.is_empty());
         ws.put_idx(a);
         ws.put_u32(b);
-        ws.put_i32(c);
         ws.put_idx_pair(d);
     }
 

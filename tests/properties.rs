@@ -13,6 +13,7 @@ use rand::{RngExt, SeedableRng};
 use popular_matchings::popular::algorithm1::popular_matching_run;
 use popular_matchings::popular::max_cardinality::{
     improve_to_maximum_cardinality, maximum_cardinality_popular_matching_nc,
+    maximum_cardinality_popular_matching_sequential,
 };
 use popular_matchings::popular::reduced::ReducedGraph;
 use popular_matchings::popular::switching::ComponentKind;
@@ -342,6 +343,40 @@ fn algorithm3_maximises_cardinality() {
         let direct = maximum_cardinality_popular_matching_nc(&inst, &tracker).unwrap();
         assert_eq!(direct.size(&inst), best, "case {case}");
     }
+}
+
+/// Algorithm 3 returns its sequential baseline's matching (every path
+/// margin summed by walking the path) bit for bit on small instances of
+/// the crowded family: strict lists of 1–3 uniform posts over n/2 + 1
+/// posts, where Algorithm 1 leaves applicants on their last resorts and
+/// Algorithm 3 moves some of them.
+#[test]
+fn algorithm3_equals_its_sequential_baseline_where_it_moves_applicants() {
+    let (mut feasible, mut moved) = (0, 0);
+    for seed in 0..300u64 {
+        let n = 8 + (seed as usize * 7) % 120;
+        let inst = generators::short_lists(&GeneratorConfig {
+            num_applicants: n,
+            num_posts: n / 2 + 1,
+            list_len: 3,
+            seed,
+        });
+        let tracker = DepthTracker::new();
+        let nc = maximum_cardinality_popular_matching_nc(&inst, &tracker);
+        assert_eq!(
+            nc,
+            maximum_cardinality_popular_matching_sequential(&inst),
+            "seed {seed}"
+        );
+        if let Ok(m) = nc {
+            feasible += 1;
+            moved += usize::from(m != popular_matching_nc(&inst, &tracker).unwrap());
+        }
+    }
+    assert!(
+        feasible > 250 && moved > 150,
+        "{feasible} feasible, {moved} moved"
+    );
 }
 
 /// Algorithm 4 invariants on random stable-marriage instances: every

@@ -245,18 +245,31 @@ fn run_concurrent_phase_tables(threads: usize) {
         list_len: 4,
         seed: 41,
     });
+    // Crowded lists, where Algorithm 3 moves applicants off last resorts.
+    let crowded = generators::short_lists(&GeneratorConfig {
+        num_applicants: n,
+        num_posts: n / 2 + 1,
+        list_len: 3,
+        seed: 47,
+    });
     let g = generators::random_bipartite(n, n, 4.0 / n as f64, 43);
     let start_together = Barrier::new(2);
     std::thread::scope(|scope| {
         for _ in 0..2 {
             scope.spawn(|| {
-                pool(threads).install(|| check_own_phase_tables(&inst, &g, &start_together))
+                pool(threads)
+                    .install(|| check_own_phase_tables(&inst, &crowded, &g, &start_together))
             });
         }
     });
 }
 
-fn check_own_phase_tables(inst: &PrefInstance, g: &BipartiteGraph, start_together: &Barrier) {
+fn check_own_phase_tables(
+    inst: &PrefInstance,
+    crowded: &PrefInstance,
+    g: &BipartiteGraph,
+    start_together: &Barrier,
+) {
     let mut solver = PopularSolver::new(0, 0);
     for _ in 0..3 {
         start_together.wait();
@@ -281,6 +294,24 @@ fn check_own_phase_tables(inst: &PrefInstance, g: &BipartiteGraph, start_togethe
         assert!(census + jump <= alg2, "{t:?}");
         assert!(reduce + alg2 + promote <= wall, "{t:?} vs {wall:?}");
         assert!(t.get(Phase::HkBfs).is_zero(), "{t:?}");
+        assert!(t.get(Phase::Algorithm3).is_zero(), "{t:?}");
+
+        start_together.wait();
+        let start = Instant::now();
+        solver
+            .solve_max_cardinality(crowded)
+            .expect("solvable instance");
+        let wall = start.elapsed();
+        let t = solver.phase_times();
+        let top = [
+            Phase::Reduce,
+            Phase::Algorithm2,
+            Phase::Promote,
+            Phase::Algorithm3,
+        ]
+        .map(|p| t.get(p));
+        assert!(top.iter().all(|d| !d.is_zero()), "{t:?}");
+        assert!(top.iter().sum::<Duration>() <= wall, "{t:?} vs {wall:?}");
 
         start_together.wait();
         let start = Instant::now();
